@@ -70,6 +70,10 @@ class TrialSpace:
                         f"shape {idx}: harmonic must be a non-negative integer, got {k!r}"
                     )
                 v = float(v)
+                if not math.isfinite(v):
+                    raise ValueError(
+                        f"shape {idx}: coefficient of harmonic {k} must be finite, got {v}"
+                    )
                 if v != 0.0:
                     entries[int(k)] = v
             if not entries:

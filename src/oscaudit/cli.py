@@ -20,6 +20,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -87,8 +88,7 @@ class RunConfig:
     fmt: str
     out: str | None
     fail_on_findings: bool
-    eps_grid: tuple[float, ...]
-    a_grid: tuple[float, ...]
+    cells: tuple[OscillatorProblem, ...]  # sweep cells, eps outer, in grid order
 
 
 # -- parsing helpers ---------------------------------------------------------
@@ -96,9 +96,12 @@ class RunConfig:
 
 def _parse_float(text, label):
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError):
         raise ConfigError(f"{label}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{label}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_poly(text, label="poly"):
@@ -153,6 +156,22 @@ def _parse_grid(text, label):
     if not values:
         raise ConfigError(f"{label}: grid is empty")
     return values
+
+
+def _sweep_cells(problem, eps_grid, a_grid):
+    """The problem of every (eps, A) cell, eps outer; a bad value names its grid."""
+
+    def cell(base, label, **change):
+        try:
+            return replace(base, **change)
+        except ValueError as err:
+            raise ConfigError(f"{label}: {err}") from None
+
+    cells = []
+    for eps in eps_grid:
+        row = cell(problem, "eps grid", epsilon=eps)
+        cells.extend(cell(row, "A grid", amplitude=amplitude) for amplitude in a_grid)
+    return tuple(cells)
 
 
 def _read_config_file(path):
@@ -265,8 +284,7 @@ def _build_run_config(args) -> RunConfig:
         fmt=fmt,
         out=out,
         fail_on_findings=bool(args.fail_on_findings),
-        eps_grid=eps_grid,
-        a_grid=a_grid,
+        cells=_sweep_cells(problem, eps_grid, a_grid),
     )
 
 
@@ -476,32 +494,30 @@ def cmd_sweep(run: RunConfig) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    for eps in run.eps_grid:
-        for amplitude in run.a_grid:
-            problem = replace(run.problem, epsilon=eps, amplitude=amplitude)
-            report = full_audit(
-                problem,
-                run.space,
-                bracket=run.bracket,
-                rho=run.rho,
-                grid_points=run.grid_points,
-            )
-            table = {row.source: row for row in report.freq_table}
-            writer.writerow(
-                [
-                    _fmt_num(eps),
-                    _fmt_num(amplitude),
-                    _fmt_num(table["solver"].omega),
-                    _fmt_num(table["closed_form_single"].omega),
-                    _fmt_num(table["closed_form_double"].omega),
-                    _fmt_num(table["exact"].omega),
-                    _fmt_num(table["solver"].rel_err_vs_exact),
-                    _fmt_num(table["closed_form_single"].rel_err_vs_exact),
-                    _fmt_num(table["closed_form_double"].rel_err_vs_exact),
-                    str(report.trivial).lower(),
-                    _fmt_num(report.bc_u1_at_0),
-                ]
-            )
+    for problem in run.cells:
+        report = full_audit(
+            problem,
+            run.space,
+            bracket=run.bracket,
+            rho=run.rho,
+            grid_points=run.grid_points,
+        )
+        table = {row.source: row for row in report.freq_table}
+        writer.writerow(
+            [
+                _fmt_num(problem.epsilon),
+                _fmt_num(problem.amplitude),
+                _fmt_num(table["solver"].omega),
+                _fmt_num(table["closed_form_single"].omega),
+                _fmt_num(table["closed_form_double"].omega),
+                _fmt_num(table["exact"].omega),
+                _fmt_num(table["solver"].rel_err_vs_exact),
+                _fmt_num(table["closed_form_single"].rel_err_vs_exact),
+                _fmt_num(table["closed_form_double"].rel_err_vs_exact),
+                str(report.trivial).lower(),
+                _fmt_num(report.bc_u1_at_0),
+            ]
+        )
     _emit(buffer.getvalue(), run.out)
     return 0
 

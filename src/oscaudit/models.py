@@ -102,6 +102,15 @@ class OscillatorProblem:
     amplitude: float
 
     def __post_init__(self):
+        for name in ("omega0_sq", "epsilon", "amplitude"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for p, c in self.nonlinearity.coefficients.items():
+            if not math.isfinite(c):
+                raise ValueError(
+                    f"nonlinearity coefficient of u^{p} must be finite, got {c}"
+                )
         if not self.amplitude > 0.0:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         if self.omega0_sq < 0.0:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .models import OscillatorProblem, effective_omega0, total_potential
 
@@ -237,6 +236,18 @@ def exact_period_quadrature(problem: OscillatorProblem) -> ExactResult:
     raise QuadratureConvergenceError(
         f"period quadrature did not converge within {QUAD_MAX_NODES} nodes"
     )
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """scipy's ``solve_ivp``, imported on the first call.
+
+    Only the time-integration routes need scipy, and importing
+    ``scipy.integrate`` costs more than the rest of the package together;
+    loading it here keeps it out of every run that never integrates.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
 def _time_scale(problem: OscillatorProblem) -> float:

@@ -60,6 +60,12 @@ def test_trial_space_rejects_empty_shape():
         TrialSpace("bad", ({1: 0.0},))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_trial_space_rejects_non_finite_coefficient(value):
+    with pytest.raises(ValueError, match="harmonic 5"):
+        TrialSpace("bad", ({1: 1.0, 5: value},))
+
+
 def test_trial_space_rejects_dependent_shapes():
     with pytest.raises(ValueError):
         TrialSpace("bad", ({1: 1.0, 3: -0.5}, {1: 2.0, 3: -1.0}))
@@ -249,6 +255,25 @@ def test_solve_stationary_envelope_property():
 def test_solve_stationary_empty_region():
     # no stationary point beyond the resonance-balance frequency
     points = solve_stationary(duffing(1.0, 1.0), single_shape_space(), bracket=(5.0, 6.0))
+    assert points == []
+
+
+def test_solve_stationary_pure_fundamental_shape_stays_on_trivial_ray():
+    # M = 0 for a shape with harmonic 1 only; the one stationary point lies on
+    # the B = 0 ray at the resonance-balance frequency
+    points = solve_stationary(duffing(1.0, 1.0), TrialSpace("custom", ({1: 1.0},)))
+    assert len(points) == 1
+    point = points[0]
+    assert point.branch == "trivial-B"
+    assert list(point.amplitudes) == [0.0]
+    assert point.action_value == 0.0
+    assert point.omega == pytest.approx(math.sqrt(1.75), rel=1e-12)
+
+
+def test_solve_stationary_shape_without_fundamental_has_no_point():
+    # no shape carries harmonic 1, so the forcing's w-dependence never
+    # reaches J and w is not stationary anywhere
+    points = solve_stationary(duffing(1.0, 1.0), TrialSpace("custom", ({3: 1.0},)))
     assert points == []
 
 

@@ -68,6 +68,33 @@ def test_custom_space_requires_shapes():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (("--eps", "nan"), "epsilon"),
+        (("--eps", "inf"), "epsilon"),
+        (("--omega0sq", "nan"), "omega0_sq"),
+        (("--A", "inf"), "amplitude"),
+        (("--poly", "3:nan"), "poly coefficient of power 3"),
+        (("--space", "custom", "--shape", "1:1,5:nan"), "shape harmonic 5"),
+        (("--rho", "inf"), "rho"),
+        (("--bracket", "0.5:nan"), "bracket high"),
+    ],
+)
+def test_non_finite_input_is_config_error(args, field):
+    result = run_cli("audit", *args)
+    assert result.returncode == 2
+    assert field in result.stderr
+    assert "finite" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_shape_without_fundamental_is_domain_error():
+    result = run_cli("audit", "--space", "custom", "--shape", "3:1")
+    assert result.returncode == 3
+    assert "no stationary point" in result.stderr
+
+
 def test_audit_double_shape_reports_violations():
     result = run_cli(
         "audit", "--preset", "duffing", "--A", "1", "--eps", "1",
@@ -172,6 +199,22 @@ def test_sweep_golden_default_run(tmp_path):
         numeric = list(range(9)) + [10]
         for idx in numeric:
             assert float(got_fields[idx]) == float(want_fields[idx])
+
+
+@pytest.mark.parametrize(
+    "flag, values, grid, field",
+    [
+        ("--A-grid", "0.5,-1", "A grid", "amplitude"),
+        ("--A-grid", "1,inf", "A grid", "finite"),
+        ("--eps-grid", "nan", "eps grid", "finite"),
+    ],
+)
+def test_sweep_bad_grid_cell_is_config_error(flag, values, grid, field):
+    result = run_cli("sweep", flag, values)
+    assert result.returncode == 2
+    assert grid in result.stderr
+    assert field in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_exact_verb_agreement():

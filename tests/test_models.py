@@ -89,6 +89,22 @@ def test_negative_linear_stiffness_rejected():
         OscillatorProblem(-1.0, 1.0, Polynomial({3: 1.0}), 1.0)
 
 
+@pytest.mark.parametrize(
+    "omega0_sq, eps, poly, amplitude, field",
+    [
+        (float("nan"), 1.0, {3: 1.0}, 1.0, "omega0_sq"),
+        (float("inf"), 1.0, {3: 1.0}, 1.0, "omega0_sq"),
+        (1.0, float("nan"), {3: 1.0}, 1.0, "epsilon"),
+        (1.0, float("-inf"), {3: 1.0}, 1.0, "epsilon"),
+        (1.0, 1.0, {3: 1.0}, float("inf"), "amplitude"),
+        (1.0, 1.0, {3: 1.0, 5: float("nan")}, 1.0, r"coefficient of u\^5"),
+    ],
+)
+def test_non_finite_parameters_rejected(omega0_sq, eps, poly, amplitude, field):
+    with pytest.raises(ValueError, match=field):
+        OscillatorProblem(omega0_sq, eps, Polynomial(poly), amplitude)
+
+
 def test_acceleration():
     problem = duffing(1.0, 2.0)
     assert problem.acceleration(0.5) == pytest.approx(-0.5 - 2.0 * 0.125)

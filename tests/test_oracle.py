@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -194,3 +196,20 @@ def test_quadrature_rejects_separatrix_amplitude():
     # motion from A = 1 never returns and has no finite period
     with pytest.raises(NonOscillatoryError):
         exact_period_quadrature(duffing(1.0, -1.0))
+
+
+def test_scipy_is_loaded_only_by_the_ode_route():
+    script = (
+        "import sys\n"
+        "import oscaudit.cli\n"
+        "from oscaudit import duffing, exact_period_ode, full_audit, single_shape_space\n"
+        "full_audit(duffing(1.0, 1.0), single_shape_space())\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "exact_period_ode(duffing(1.0, 1.0))\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
