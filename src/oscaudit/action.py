@@ -175,7 +175,10 @@ def assemble(problem: OscillatorProblem, space: TrialSpace, omega: float) -> Qua
 
 def solve_B(form: QuadraticForm) -> np.ndarray:
     """Unique stationary amplitudes at fixed w: solve M B = -g."""
-    cond = np.linalg.cond(form.matrix)
+    try:
+        cond = np.linalg.cond(form.matrix)
+    except np.linalg.LinAlgError as err:  # SVD fails on overflowed entries
+        raise SingularMatrixError(f"quadratic form is singular ({err})") from None
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrixError(
             f"quadratic form is singular (condition number {cond:.3g})"
@@ -336,7 +339,6 @@ def solve_stationary(
     problem: OscillatorProblem,
     space: TrialSpace,
     bracket: tuple[float, float] | None = None,
-    grid_points: int = GRID_POINTS,
 ) -> list[StationaryPoint]:
     """All joint stationary points of J inside the frequency bracket.
 
@@ -357,10 +359,8 @@ def solve_stationary(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise BracketError(f"bracket must satisfy 0 < low < high, got ({lo}, {hi})")
-    if grid_points < 2:
-        raise BracketError(f"grid must have at least 2 points, got {grid_points}")
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     forms = [assemble(problem, space, w) for w in grid]
 
     scan_vals = []
@@ -371,7 +371,7 @@ def solve_stationary(
             scan_vals.append(None)
 
     candidates = []  # (omega, source)
-    span = (hi - lo) / (grid_points - 1)
+    span = (hi - lo) / (GRID_POINTS - 1)
     brackets, zeros = _sign_change_candidates(grid, scan_vals)
     for k in brackets:
         root = _refine_sign_change(

@@ -21,7 +21,7 @@ hard-coded into callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,6 +60,10 @@ class ClosedFormDomainError(ValueError):
 
 class NoStationaryPointError(RuntimeError):
     """The solver returned no stationary point to audit."""
+
+
+class NonFiniteValueError(ArithmeticError):
+    """A report value overflowed or is undefined (inf or NaN)."""
 
 
 def check_boundary(u1: TrigSeries) -> tuple[float, float]:
@@ -102,6 +106,8 @@ def two_shape_frequency(rho: float) -> float:
     quadratic in w^2 produced by the joint stationarity conditions.
     """
     inner = 510237.0 * rho * rho + 1416576.0 * rho + 984064.0
+    if not math.isfinite(inner):
+        raise ClosedFormDomainError(f"inner radicand overflows ({inner})")
     if inner < 0.0:
         raise ClosedFormDomainError(f"inner radicand negative ({inner})")
     outer = math.sqrt(inner) - 357.0 * rho - 496.0
@@ -143,9 +149,6 @@ class Finding:
     message: str
     data: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {"code": self.code, "message": self.message, "data": dict(self.data)}
-
 
 @dataclass
 class FreqRow:
@@ -153,14 +156,6 @@ class FreqRow:
     omega: float | None
     rel_err_vs_exact: float | None
     note: str = ""
-
-    def to_dict(self):
-        return {
-            "source": self.source,
-            "omega": self.omega,
-            "rel_err_vs_exact": self.rel_err_vs_exact,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -186,35 +181,11 @@ class AuditReport:
 
     def to_dict(self) -> dict:
         """Plain-type report matching the documented JSON schema."""
-        return {
-            "versions": {"schema": 1},
-            "problem": {
-                "omega0_sq": float(self.problem.omega0_sq),
-                "eps": float(self.problem.epsilon),
-                "amplitude": float(self.problem.amplitude),
-                "poly": {
-                    str(p): float(c)
-                    for p, c in sorted(self.problem.nonlinearity.coefficients.items())
-                },
-            },
-            "trial_space": {
-                "name": self.space.name,
-                "shapes": [
-                    {str(k): float(v) for k, v in sorted(shape.items())}
-                    for shape in self.space.shapes
-                ],
-            },
-            "stationary_points": [
-                {
-                    "omega": float(p.omega),
-                    "B": [float(b) for b in p.amplitudes],
-                    "J": float(p.action_value),
-                    "grad_norm": float(p.grad_norm),
-                    "branch": p.branch,
-                }
-                for p in self.points
-            ],
-            "audit": {
+        return report_dict(
+            self.problem,
+            self.space,
+            self.points,
+            {
                 "selected_omega": float(self.selected.omega),
                 "selected_branch": self.selected.branch,
                 "bc": {
@@ -227,17 +198,84 @@ class AuditReport:
                 },
                 "amplitude_mismatch": float(self.amplitude_mismatch),
                 "rho": float(self.rho),
-                "freq_table": [row.to_dict() for row in self.freq_table],
+                "freq_table": [asdict(row) for row in self.freq_table],
                 "closed_form_residuals": {
                     k: float(v) for k, v in self.closed_form_residuals.items()
                 },
-                "findings": [f.to_dict() for f in self.findings],
+                "findings": [asdict(f) for f in self.findings],
                 "domega_conventions": {
                     "with_period_term": float(self.domega_with_period_term),
                     "frozen_period": float(self.domega_frozen_period),
                 },
             },
+        )
+
+
+def report_dict(
+    problem: OscillatorProblem,
+    space: TrialSpace,
+    points: list[StationaryPoint],
+    audit: dict | None = None,
+) -> dict:
+    """The plain-type report every output format is rendered from.
+
+    ``audit`` is the report's ``audit`` section; a bare stationary-point
+    analysis has none. Every float is checked finite, so no format can
+    carry inf or NaN.
+    """
+    return check_finite(
+        {
+            "versions": {"schema": 1},
+            "problem": {
+                "omega0_sq": float(problem.omega0_sq),
+                "eps": float(problem.epsilon),
+                "amplitude": float(problem.amplitude),
+                "poly": {
+                    str(p): float(c)
+                    for p, c in sorted(problem.nonlinearity.coefficients.items())
+                },
+            },
+            "trial_space": {
+                "name": space.name,
+                "shapes": [
+                    {str(k): float(v) for k, v in sorted(shape.items())}
+                    for shape in space.shapes
+                ],
+            },
+            "stationary_points": [
+                {
+                    "omega": float(p.omega),
+                    "B": [float(b) for b in p.amplitudes],
+                    "J": float(p.action_value),
+                    "grad_norm": float(p.grad_norm),
+                    "branch": p.branch,
+                }
+                for p in points
+            ],
+            "audit": audit,
         }
+    )
+
+
+def check_finite(data):
+    """Return ``data`` after checking that every float in it is finite.
+
+    Raises ``NonFiniteValueError`` naming the key path of the first
+    offending value, e.g. ``audit.domega_conventions.frozen_period``.
+    """
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            for index, item in enumerate(value):
+                walk(item, f"{path}[{index}]")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise NonFiniteValueError(f"report value {path} is not finite ({value})")
+
+    walk(data, "")
+    return data
 
 
 def _rel(a: float, b: float) -> float:
@@ -249,15 +287,13 @@ def full_audit(
     space: TrialSpace,
     bracket: tuple[float, float] | None = None,
     rho: float | None = None,
-    grid_points: int | None = None,
 ) -> AuditReport:
     """Run the solver, the oracle and the closed forms; report every check.
 
     Findings are emitted in a fixed order with machine codes, so reports on
     identical inputs are byte-identical.
     """
-    kwargs = {} if grid_points is None else {"grid_points": grid_points}
-    points = solve_stationary(problem, space, bracket, **kwargs)
+    points = solve_stationary(problem, space, bracket)
     if not points:
         raise NoStationaryPointError(
             "no stationary point found in the bracket; widen it or adjust the problem"

@@ -23,6 +23,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from collections.abc import Callable
+from functools import partial
 
 from .models import OscillatorProblem, Polynomial
 from .action import (
@@ -33,10 +35,12 @@ from .action import (
     solve_stationary,
 )
 from .audit import (
-    AuditReport,
     ClosedFormDomainError,
+    NonFiniteValueError,
     NoStationaryPointError,
+    check_finite,
     full_audit,
+    report_dict,
 )
 from .oracle import (
     DivergenceError,
@@ -51,9 +55,11 @@ DOMAIN_ERRORS = (
     SingularMatrixError,
     ClosedFormDomainError,
     NoStationaryPointError,
+    NonFiniteValueError,
     NonOscillatoryError,
     DivergenceError,
     QuadratureConvergenceError,
+    OverflowError,
 )
 
 DEFAULT_EPS_GRID = (0.1, 1.0, 10.0)
@@ -83,9 +89,8 @@ class RunConfig:
     problem: OscillatorProblem
     space: TrialSpace
     bracket: tuple[float, float] | None
-    grid_points: int | None
     rho: float | None
-    fmt: str
+    render: Callable  # the verb's renderer for the chosen format, from RENDERERS
     out: str | None
     fail_on_findings: bool
     cells: tuple[OscillatorProblem, ...]  # sweep cells, eps outer, in grid order
@@ -104,42 +109,22 @@ def _parse_float(text, label):
     return value
 
 
-def _parse_poly(text, label="poly"):
-    terms = {}
+def _parse_pairs(text, label, key_name, coeff_label):
+    """``KEY:COEFF,...`` as an int -> summed float map (poly powers, shape harmonics)."""
+    pairs = {}
     for token in str(text).split(","):
         token = token.strip()
         if not token:
             continue
-        power, _, coeff = token.partition(":")
-        if not _ or not power.strip() or not coeff.strip():
-            raise ConfigError(f"{label}: term {token!r} is not POWER:COEFF")
+        key, sep, coeff = token.partition(":")
+        if not sep or not key.strip() or not coeff.strip():
+            raise ConfigError(f"{label}: term {token!r} is not {key_name.upper()}:COEFF")
         try:
-            p = int(power)
+            k = int(key)
         except ValueError:
-            raise ConfigError(f"{label}: power {power!r} is not an integer") from None
-        c = _parse_float(coeff, f"{label} coefficient of power {p}")
-        terms[p] = terms.get(p, 0.0) + c
-    try:
-        return Polynomial(terms)
-    except ValueError as err:
-        raise ConfigError(f"{label}: {err}") from None
-
-
-def _parse_shape(text, label="shape"):
-    entries = {}
-    for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        harmonic, _, coeff = token.partition(":")
-        if not _ or not harmonic.strip() or not coeff.strip():
-            raise ConfigError(f"{label}: term {token!r} is not HARMONIC:COEFF")
-        try:
-            k = int(harmonic)
-        except ValueError:
-            raise ConfigError(f"{label}: harmonic {harmonic!r} is not an integer") from None
-        entries[k] = entries.get(k, 0.0) + _parse_float(coeff, f"{label} harmonic {k}")
-    return entries
+            raise ConfigError(f"{label}: {key_name} {key!r} is not an integer") from None
+        pairs[k] = pairs.get(k, 0.0) + _parse_float(coeff, f"{label} {coeff_label} {k}")
+    return pairs
 
 
 def _parse_bracket(text):
@@ -189,251 +174,220 @@ def _read_config_file(path):
 def _build_run_config(args) -> RunConfig:
     file_cfg = _read_config_file(args.config) if args.config else None
 
-    def cfg_get(section, key, default=None):
-        if file_cfg is not None and file_cfg.has_option(section, key):
-            return file_cfg.get(section, key)
-        return default
+    def setting(flag, section, key, parse=str, default=None):
+        """The flag, else the file's [section] key, else the default.
 
-    # problem: flags win over file values; the standard cubic is the default
-    preset = args.preset or cfg_get("problem", "preset")
+        An empty value counts as unset; text is parsed, a typed flag is not.
+        ``section`` None ignores the file.
+        """
+        value = flag
+        if value is None or value == "":
+            if file_cfg is None or section is None:
+                return default
+            value = file_cfg.get(section, key, fallback="")
+            if value == "":
+                return default
+        return parse(value) if isinstance(value, str) else value
+
+    # problem: the duffing preset fixes omega0_sq and f, which only flags override
+    preset = setting(args.preset, "problem", "preset")
     if preset is not None and preset != "duffing":
         raise ConfigError(f"problem preset: unknown preset {preset!r}")
-    omega0_sq = args.omega0sq if args.omega0sq is not None else _parse_float(
-        cfg_get("problem", "omega0_sq", 1.0), "omega0_sq"
+    stiffness = None if preset == "duffing" else "problem"
+    omega0_sq = setting(
+        args.omega0sq, stiffness, "omega0_sq", partial(_parse_float, label="omega0_sq"), 1.0
     )
-    eps = args.eps if args.eps is not None else _parse_float(
-        cfg_get("problem", "eps", 1.0), "eps"
+    eps = setting(args.eps, "problem", "eps", partial(_parse_float, label="eps"), 1.0)
+    amplitude = setting(args.A, "problem", "A", partial(_parse_float, label="A"), 1.0)
+    poly_terms = partial(
+        _parse_pairs, label="poly", key_name="power", coeff_label="coefficient of power"
     )
-    amplitude = args.A if args.A is not None else _parse_float(
-        cfg_get("problem", "A", 1.0), "A"
-    )
-    poly_text = args.poly if args.poly is not None else cfg_get("problem", "poly")
-    if preset == "duffing":
-        omega0_sq = 1.0 if args.omega0sq is None else omega0_sq
-        poly = Polynomial({3: 1.0}) if args.poly is None else _parse_poly(args.poly)
-    else:
-        poly = _parse_poly(poly_text) if poly_text is not None else Polynomial({3: 1.0})
+    terms = setting(args.poly, stiffness, "poly", poly_terms, {3: 1.0})
     try:
-        problem = OscillatorProblem(omega0_sq, eps, poly, amplitude)
+        problem = OscillatorProblem(omega0_sq, eps, Polynomial(terms), amplitude)
     except ValueError as err:
         raise ConfigError(f"problem: {err}") from None
 
     # trial space
-    space_name = args.space or cfg_get("space", "preset", "al-single")
-    shape_texts = list(args.shape or [])
-    if not shape_texts:
-        file_shapes = cfg_get("space", "shapes")
-        if file_shapes:
-            shape_texts = [part for part in file_shapes.split("|") if part.strip()]
-    if space_name == "custom":
-        if not shape_texts:
-            raise ConfigError("space: custom space requires at least one shape")
-        try:
-            space = TrialSpace(
-                "custom", tuple(_parse_shape(text) for text in shape_texts)
-            )
-        except ValueError as err:
-            raise ConfigError(f"space: {err}") from None
-    else:
-        try:
+    space_name = setting(args.space, "space", "preset", default="al-single")
+    shape_texts = setting(args.shape, "space", "shapes", lambda text: text.split("|"), [])
+    shape_texts = [text for text in shape_texts if text.strip()]
+    if space_name == "custom" and not shape_texts:
+        raise ConfigError("space: custom space requires at least one shape")
+    try:
+        if space_name == "custom":
+            shapes = (_parse_pairs(t, "shape", "harmonic", "harmonic") for t in shape_texts)
+            space = TrialSpace("custom", tuple(shapes))
+        else:
             space = preset_space(space_name)
-        except ValueError as err:
-            raise ConfigError(f"space: {err}") from None
+    except ValueError as err:
+        raise ConfigError(f"space: {err}") from None
 
-    bracket_text = args.bracket or cfg_get("solver", "bracket")
-    bracket = _parse_bracket(bracket_text) if bracket_text else None
-    grid_text = args.grid_points or cfg_get("solver", "grid_points")
-    grid_points = None
-    if grid_text is not None:
-        try:
-            grid_points = int(grid_text)
-        except ValueError:
-            raise ConfigError(f"grid_points: expected an integer, got {grid_text!r}") from None
+    fmt = setting(args.format, "output", "format", default=DEFAULT_FORMATS[args.verb])
+    render = RENDERERS.get((args.verb, fmt))
+    if render is None:
+        allowed = " | ".join(f for verb, f in RENDERERS if verb == args.verb)
+        raise ConfigError(f"format: {args.verb} does not write {fmt!r} (use {allowed})")
 
-    rho_text = args.rho if args.rho is not None else cfg_get("audit", "rho")
-    rho = _parse_float(rho_text, "rho") if rho_text is not None else None
-
-    fmt = args.format or cfg_get("output", "format")
-    out = args.out or cfg_get("output", "path")
-
-    eps_grid = (
-        _parse_grid(args.eps_grid, "eps grid")
-        if args.eps_grid
-        else (
-            _parse_grid(cfg_get("sweep", "eps"), "eps grid")
-            if cfg_get("sweep", "eps")
-            else DEFAULT_EPS_GRID
-        )
+    eps_grid = setting(
+        args.eps_grid, "sweep", "eps", partial(_parse_grid, label="eps grid"),
+        DEFAULT_EPS_GRID,
     )
-    a_grid = (
-        _parse_grid(args.a_grid, "A grid")
-        if args.a_grid
-        else (
-            _parse_grid(cfg_get("sweep", "A"), "A grid")
-            if cfg_get("sweep", "A")
-            else DEFAULT_A_GRID
-        )
+    a_grid = setting(
+        args.a_grid, "sweep", "A", partial(_parse_grid, label="A grid"), DEFAULT_A_GRID
     )
-
     return RunConfig(
         problem=problem,
         space=space,
-        bracket=bracket,
-        grid_points=grid_points,
-        rho=rho,
-        fmt=fmt,
-        out=out,
+        bracket=setting(args.bracket, "solver", "bracket", _parse_bracket),
+        rho=setting(args.rho, "audit", "rho", partial(_parse_float, label="rho")),
+        render=render,
+        out=setting(args.out, "output", "path"),
         fail_on_findings=bool(args.fail_on_findings),
         cells=_sweep_cells(problem, eps_grid, a_grid),
     )
 
 
 # -- rendering ---------------------------------------------------------------
+#
+# Every renderer takes the plain-type report built by ``audit.report_dict``
+# (a list of them for ``sweep``), so all formats carry the same numbers.
 
 
 def _fmt_num(x):
-    return "" if x is None else format(float(x), ".17g")
+    return "" if x is None else format(x, ".17g")
 
 
-def _problem_dict(problem):
-    return {
-        "omega0_sq": float(problem.omega0_sq),
-        "eps": float(problem.epsilon),
-        "amplitude": float(problem.amplitude),
-        "poly": {
-            str(p): float(c)
-            for p, c in sorted(problem.nonlinearity.coefficients.items())
-        },
-    }
+def _csv_text(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
-def _space_dict(space):
-    return {
-        "name": space.name,
-        "shapes": [
-            {str(k): float(v) for k, v in sorted(shape.items())}
-            for shape in space.shapes
-        ],
-    }
-
-
-def _points_list(points):
-    return [
-        {
-            "omega": float(p.omega),
-            "B": [float(b) for b in p.amplitudes],
-            "J": float(p.action_value),
-            "grad_norm": float(p.grad_norm),
-            "branch": p.branch,
-        }
-        for p in points
-    ]
-
-
-def _analyze_dict(problem, space, points):
-    return {
-        "versions": {"schema": 1},
-        "problem": _problem_dict(problem),
-        "trial_space": _space_dict(space),
-        "stationary_points": _points_list(points),
-        "audit": None,
-    }
+def _render_json(data):
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
 def _points_markdown(points):
     lines = ["| omega | B | J | grad_norm | branch |", "| --- | --- | --- | --- | --- |"]
     for p in points:
-        bs = ", ".join(format(float(b), ".12g") for b in p.amplitudes)
+        bs = ", ".join(format(b, ".12g") for b in p["B"])
         lines.append(
-            f"| {p.omega:.12g} | {bs} | {p.action_value:.12g} "
-            f"| {p.grad_norm:.3g} | {p.branch} |"
+            f"| {p['omega']:.12g} | {bs} | {p['J']:.12g} "
+            f"| {p['grad_norm']:.3g} | {p['branch']} |"
         )
     return lines
 
 
-def _render_analyze_md(problem, space, points):
+def _render_analyze_md(data):
+    problem = data["problem"]
     lines = ["# Stationary-point analysis", "", "## Problem", ""]
-    lines.append(f"- omega0_sq = {problem.omega0_sq:.12g}")
-    lines.append(f"- eps = {problem.epsilon:.12g}")
-    lines.append(f"- amplitude = {problem.amplitude:.12g}")
-    poly = ", ".join(
-        f"{c:.12g} u^{p}"
-        for p, c in sorted(problem.nonlinearity.coefficients.items())
-    )
+    for key in ("omega0_sq", "eps", "amplitude"):
+        lines.append(f"- {key} = {problem[key]:.12g}")
+    poly = ", ".join(f"{c:.12g} u^{p}" for p, c in problem["poly"].items())
     lines.append(f"- nonlinearity = {poly or '0'}")
-    lines.append(f"- trial space = {space.name}")
+    lines.append(f"- trial space = {data['trial_space']['name']}")
     lines += ["", "## Stationary points", ""]
-    if points:
-        lines += _points_markdown(points)
+    if data["stationary_points"]:
+        lines += _points_markdown(data["stationary_points"])
     else:
         lines.append("(none found in bracket)")
     return "\n".join(lines) + "\n"
 
 
-def _render_analyze_csv(points):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["omega", "B", "J", "grad_norm", "branch"])
-    for p in points:
-        writer.writerow(
+def _render_analyze_csv(data):
+    rows = [["omega", "B", "J", "grad_norm", "branch"]]
+    for p in data["stationary_points"]:
+        rows.append(
             [
-                _fmt_num(p.omega),
-                " ".join(_fmt_num(b) for b in p.amplitudes),
-                _fmt_num(p.action_value),
-                _fmt_num(p.grad_norm),
-                p.branch,
+                _fmt_num(p["omega"]),
+                " ".join(_fmt_num(b) for b in p["B"]),
+                _fmt_num(p["J"]),
+                _fmt_num(p["grad_norm"]),
+                p["branch"],
             ]
         )
-    return buffer.getvalue()
+    return _csv_text(rows)
 
 
-def _render_audit_md(report: AuditReport):
-    data = report.to_dict()
+def _render_audit_md(data):
+    audit = data["audit"]
     lines = ["# Consistency audit", "", "## Problem", ""]
     for key, value in data["problem"].items():
         lines.append(f"- {key} = {value}")
     lines.append(f"- trial space = {data['trial_space']['name']}")
     lines += ["", "## Stationary points", ""]
-    lines += _points_markdown(report.points)
+    lines += _points_markdown(data["stationary_points"])
     lines += ["", "## Boundary and amplitude", ""]
-    lines.append(f"- u1(0) = {report.bc_u1_at_0:.12g}")
-    lines.append(f"- u1'(0) = {report.bc_du1_at_0:.12g}")
-    lines.append(f"- amplitude mismatch u_app(0) - A = {report.amplitude_mismatch:.12g}")
+    lines.append(f"- u1(0) = {audit['bc']['u1_at_0']:.12g}")
+    lines.append(f"- u1'(0) = {audit['bc']['du1_at_0']:.12g}")
+    lines.append(f"- amplitude mismatch u_app(0) - A = {audit['amplitude_mismatch']:.12g}")
     lines.append(
-        f"- trivial correction: {str(report.trivial).lower()} "
-        f"(threshold {report.triviality_threshold:.3g})"
+        f"- trivial correction: {str(audit['trivial']['flag']).lower()} "
+        f"(threshold {audit['trivial']['threshold']:.3g})"
     )
     lines += ["", "## Frequency table", ""]
     lines.append("| source | omega | rel_err_vs_exact | note |")
     lines.append("| --- | --- | --- | --- |")
-    for row in report.freq_table:
-        omega = "" if row.omega is None else f"{row.omega:.12g}"
-        rel = "" if row.rel_err_vs_exact is None else f"{row.rel_err_vs_exact:.6g}"
-        lines.append(f"| {row.source} | {omega} | {rel} | {row.note} |")
+    for row in audit["freq_table"]:
+        omega = "" if row["omega"] is None else f"{row['omega']:.12g}"
+        rel = "" if row["rel_err_vs_exact"] is None else f"{row['rel_err_vs_exact']:.6g}"
+        lines.append(f"| {row['source']} | {omega} | {rel} | {row['note']} |")
     lines += ["", "## Findings", ""]
-    if not report.findings:
+    if not audit["findings"]:
         lines.append("No findings.")
-    for finding in report.findings:
-        lines += [f"### {finding.code}", "", finding.message, ""]
-        for key, value in sorted(finding.data.items()):
+    for finding in audit["findings"]:
+        lines += [f"### {finding['code']}", "", finding["message"], ""]
+        for key, value in sorted(finding["data"].items()):
             lines.append(f"- {key} = {value}")
         lines.append("")
     return "\n".join(lines) + "\n"
 
 
-def _render_audit_csv(report: AuditReport):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["section", "key", "value"])
-    writer.writerow(["bc", "u1_at_0", _fmt_num(report.bc_u1_at_0)])
-    writer.writerow(["bc", "du1_at_0", _fmt_num(report.bc_du1_at_0)])
-    writer.writerow(["audit", "trivial", str(report.trivial).lower()])
-    writer.writerow(["audit", "amplitude_mismatch", _fmt_num(report.amplitude_mismatch)])
-    for row in report.freq_table:
-        writer.writerow(["freq", row.source, _fmt_num(row.omega)])
-    for finding in report.findings:
-        writer.writerow(["finding", finding.code, finding.message])
-    return buffer.getvalue()
+def _render_audit_csv(data):
+    audit = data["audit"]
+    rows = [
+        ["section", "key", "value"],
+        ["bc", "u1_at_0", _fmt_num(audit["bc"]["u1_at_0"])],
+        ["bc", "du1_at_0", _fmt_num(audit["bc"]["du1_at_0"])],
+        ["audit", "trivial", str(audit["trivial"]["flag"]).lower()],
+        ["audit", "amplitude_mismatch", _fmt_num(audit["amplitude_mismatch"])],
+    ]
+    rows += [["freq", row["source"], _fmt_num(row["omega"])] for row in audit["freq_table"]]
+    rows += [["finding", f["code"], f["message"]] for f in audit["findings"]]
+    return _csv_text(rows)
+
+
+def _sweep_row(data):
+    audit = data["audit"]
+    table = {row["source"]: row for row in audit["freq_table"]}
+    sources = ("solver", "closed_form_single", "closed_form_double")
+    return (
+        [_fmt_num(data["problem"]["eps"]), _fmt_num(data["problem"]["amplitude"])]
+        + [_fmt_num(table[source]["omega"]) for source in sources + ("exact",)]
+        + [_fmt_num(table[source]["rel_err_vs_exact"]) for source in sources]
+        + [str(audit["trivial"]["flag"]).lower(), _fmt_num(audit["bc"]["u1_at_0"])]
+    )
+
+
+def _render_sweep_csv(cells):
+    """One row per (eps, A) cell, eps outer loop, in grid order."""
+    return _csv_text([SWEEP_COLUMNS] + [_sweep_row(data) for data in cells])
+
+
+DEFAULT_FORMATS = {"analyze": "md", "audit": "json", "sweep": "csv", "exact": "json"}
+
+#: (verb, format) -> renderer; the only place a format is chosen.
+RENDERERS = {
+    ("analyze", "json"): _render_json,
+    ("analyze", "md"): _render_analyze_md,
+    ("analyze", "csv"): _render_analyze_csv,
+    ("audit", "json"): _render_json,
+    ("audit", "md"): _render_audit_md,
+    ("audit", "csv"): _render_audit_csv,
+    ("sweep", "csv"): _render_sweep_csv,
+    ("exact", "json"): _render_json,
+}
 
 
 def _emit(text, out_path):
@@ -448,84 +402,32 @@ def _emit(text, out_path):
 
 
 def cmd_analyze(run: RunConfig) -> int:
-    kwargs = {} if run.grid_points is None else {"grid_points": run.grid_points}
-    points = solve_stationary(run.problem, run.space, run.bracket, **kwargs)
-    fmt = run.fmt or "md"
-    if fmt == "json":
-        text = json.dumps(_analyze_dict(run.problem, run.space, points), indent=2) + "\n"
-    elif fmt == "csv":
-        text = _render_analyze_csv(points)
-    elif fmt == "md":
-        text = _render_analyze_md(run.problem, run.space, points)
-    else:
-        raise ConfigError(f"format: unknown format {run.fmt!r}")
-    _emit(text, run.out)
+    points = solve_stationary(run.problem, run.space, run.bracket)
+    _emit(run.render(report_dict(run.problem, run.space, points)), run.out)
     return 0
 
 
 def cmd_audit(run: RunConfig) -> int:
-    report = full_audit(
-        run.problem,
-        run.space,
-        bracket=run.bracket,
-        rho=run.rho,
-        grid_points=run.grid_points,
-    )
-    fmt = run.fmt or "json"
-    if fmt == "json":
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
-    elif fmt == "md":
-        text = _render_audit_md(report)
-    elif fmt == "csv":
-        text = _render_audit_csv(report)
-    else:
-        raise ConfigError(f"format: unknown format {run.fmt!r}")
-    _emit(text, run.out)
+    report = full_audit(run.problem, run.space, bracket=run.bracket, rho=run.rho)
+    _emit(run.render(report.to_dict()), run.out)
     if run.fail_on_findings and report.findings:
         return 4
     return 0
 
 
 def cmd_sweep(run: RunConfig) -> int:
-    """One CSV row per (eps, A) cell, eps outer loop, in grid order."""
-    fmt = run.fmt or "csv"
-    if fmt != "csv":
-        raise ConfigError("format: sweep output is CSV only")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for problem in run.cells:
-        report = full_audit(
-            problem,
-            run.space,
-            bracket=run.bracket,
-            rho=run.rho,
-            grid_points=run.grid_points,
-        )
-        table = {row.source: row for row in report.freq_table}
-        writer.writerow(
-            [
-                _fmt_num(problem.epsilon),
-                _fmt_num(problem.amplitude),
-                _fmt_num(table["solver"].omega),
-                _fmt_num(table["closed_form_single"].omega),
-                _fmt_num(table["closed_form_double"].omega),
-                _fmt_num(table["exact"].omega),
-                _fmt_num(table["solver"].rel_err_vs_exact),
-                _fmt_num(table["closed_form_single"].rel_err_vs_exact),
-                _fmt_num(table["closed_form_double"].rel_err_vs_exact),
-                str(report.trivial).lower(),
-                _fmt_num(report.bc_u1_at_0),
-            ]
-        )
-    _emit(buffer.getvalue(), run.out)
+    cells = [
+        full_audit(problem, run.space, bracket=run.bracket, rho=run.rho).to_dict()
+        for problem in run.cells
+    ]
+    _emit(run.render(cells), run.out)
     return 0
 
 
 def cmd_exact(run: RunConfig) -> int:
     results = [exact_period_quadrature(run.problem), exact_period_ode(run.problem)]
-    payload = {
-        "problem": _problem_dict(run.problem),
+    data = {
+        "problem": report_dict(run.problem, run.space, [])["problem"],
         "results": [
             {
                 "method": r.method,
@@ -536,9 +438,11 @@ def cmd_exact(run: RunConfig) -> int:
             for r in results
         ],
     }
-    _emit(json.dumps(payload, indent=2) + "\n", run.out)
+    _emit(run.render(check_finite(data)), run.out)
     return 0
 
+
+VERBS = {"analyze": cmd_analyze, "audit": cmd_audit, "sweep": cmd_sweep, "exact": cmd_exact}
 
 # -- entry point -------------------------------------------------------------
 
@@ -552,7 +456,7 @@ def _make_parser():
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("analyze", "audit", "sweep", "exact"):
+    for verb in VERBS:
         p = sub.add_parser(verb)
         p.add_argument("--config", help="INI-style config file")
         p.add_argument("--preset", help="problem preset (duffing)")
@@ -576,7 +480,6 @@ def _make_parser():
         p.add_argument("--format", default=None, help="json | csv | md")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--bracket", default=None, help="frequency bracket LO:HI")
-        p.add_argument("--grid-points", dest="grid_points", default=None)
         p.add_argument("--rho", default=None, help="override the combined strength")
         p.add_argument("--fail-on-findings", action="store_true")
         p.add_argument("--eps-grid", dest="eps_grid", default=None)
@@ -592,17 +495,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    handler = {
-        "analyze": cmd_analyze,
-        "audit": cmd_audit,
-        "sweep": cmd_sweep,
-        "exact": cmd_exact,
-    }[args.verb]
     try:
-        return handler(run)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return VERBS[args.verb](run)
     except DOMAIN_ERRORS as err:
         print(f"numeric domain error: {err}", file=sys.stderr)
         return 3

@@ -147,8 +147,12 @@ def effective_omega0(problem: OscillatorProblem) -> float:
 
     Folds the leading cubic correction into the linear stiffness; returns
     0.0 when the combination is not positive (caller must then supply
-    scales explicitly).
+    scales explicitly). Raises ``OverflowError`` naming A when A^2 overflows.
     """
     cubic = problem.nonlinearity.coefficients.get(3, 0.0)
-    radicand = problem.omega0_sq + 0.75 * problem.epsilon * problem.amplitude**2 * cubic
+    try:
+        a_sq = problem.amplitude**2
+    except OverflowError:
+        raise OverflowError(f"A^2 overflows a double (A = {problem.amplitude})") from None
+    radicand = problem.omega0_sq + 0.75 * problem.epsilon * a_sq * cubic
     return math.sqrt(radicand) if radicand > 0.0 else 0.0

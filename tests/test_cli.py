@@ -1,3 +1,6 @@
+import ast
+import csv
+import io
 import json
 import math
 import subprocess
@@ -215,6 +218,168 @@ def test_sweep_bad_grid_cell_is_config_error(flag, values, grid, field):
     assert grid in result.stderr
     assert field in result.stderr
     assert "Traceback" not in result.stderr
+
+
+# A problem whose solve fails with exit 3: a format error must win over it.
+SOLVE_FAILS = {
+    "analyze": ("--preset", "duffing", "--eps", "-2", "--A", "1"),
+    "audit": ("--preset", "duffing", "--eps", "-2", "--A", "1"),
+    "sweep": ("--preset", "duffing", "--eps-grid", "-2", "--A-grid", "1"),
+    "exact": ("--preset", "duffing", "--eps", "-2", "--A", "1"),
+}
+
+
+@pytest.mark.parametrize(
+    "verb, fmt", [("analyze", "xml"), ("audit", "xml"), ("sweep", "md"), ("exact", "md")]
+)
+def test_format_is_checked_per_verb_before_the_solve(verb, fmt):
+    result = run_cli(verb, *SOLVE_FAILS[verb], "--format", fmt)
+    assert result.returncode == 2
+    assert "format" in result.stderr
+    assert repr(fmt) in result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        # the two-shape radical overflows: its row becomes null with a note
+        (("audit", "--eps", "1e200"), 0, ""),
+        # d_omega is NaN in the frozen-window convention
+        (
+            ("audit", "--space", "al-double", "--A", "1e100"),
+            3,
+            "audit.domega_conventions.frozen_period",
+        ),
+        (("analyze", "--A", "1e160"), 3, "A^2 overflows"),
+        (("audit", "--A", "1e160"), 3, "A^2 overflows"),
+        (("exact", "--A", "1e160"), 3, "A^2 overflows"),
+        # every scan matrix overflows, so no stationary point survives
+        (("audit", "--eps", "1e308"), 3, "no stationary point"),
+    ],
+)
+def test_overflow_is_a_domain_error_or_a_null(args, code, message):
+    result = run_cli(*args)
+    assert result.returncode == code
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert "Infinity" not in result.stdout
+    assert "NaN" not in result.stdout
+    if code == 0:
+        row = json.loads(result.stdout)["audit"]["freq_table"][2]
+        assert row["source"] == "closed_form_double"
+        assert row["omega"] is None
+        assert row["note"].startswith("unavailable: ")
+
+
+def _md_sections(text):
+    """A Markdown report as {section title: its non-empty lines}."""
+    sections, title = {}, None
+    for line in text.splitlines():
+        if line.startswith("## "):
+            title = line[3:]
+            sections[title] = []
+        elif title is not None and line:
+            sections[title].append(line)
+    return sections
+
+
+def _md_rows(lines):
+    """The cells of a Markdown table's body rows."""
+    rows = [line.strip("|").split("|") for line in lines if line.startswith("|")]
+    return [[cell.strip() for cell in row] for row in rows[2:]]
+
+
+def _md_bullets(lines):
+    bullets = [line[2:] for line in lines if line.startswith("- ")]
+    return dict(bullet.split(" = ", 1) for bullet in bullets if " = " in bullet)
+
+
+def _g(value, digits=12):
+    return "" if value is None else format(value, f".{digits}g")
+
+
+def _md_points(points):
+    return [
+        [_g(p["omega"]), ", ".join(_g(b) for b in p["B"]), _g(p["J"]),
+         _g(p["grad_norm"], 3), p["branch"]]
+        for p in points
+    ]
+
+
+def _formats(*args):
+    outputs = {fmt: run_cli(*args, "--format", fmt) for fmt in ("json", "csv", "md")}
+    assert all(out.returncode == 0 for out in outputs.values())
+    return (
+        json.loads(outputs["json"].stdout),
+        list(csv.reader(io.StringIO(outputs["csv"].stdout))),
+        _md_sections(outputs["md"].stdout),
+    )
+
+
+def test_analyze_formats_carry_the_json_numbers():
+    data, rows, md = _formats(
+        "analyze", "--preset", "duffing", "--A", "1", "--eps", "1", "--space", "al-double"
+    )
+    points = data["stationary_points"]
+    assert rows[0] == ["omega", "B", "J", "grad_norm", "branch"]
+    assert [
+        [float(r[0]), [float(b) for b in r[1].split()], float(r[2]), float(r[3]), r[4]]
+        for r in rows[1:]
+    ] == [[p["omega"], p["B"], p["J"], p["grad_norm"], p["branch"]] for p in points]
+    bullets = _md_bullets(md["Problem"])
+    for key in ("omega0_sq", "eps", "amplitude"):
+        assert bullets[key] == _g(data["problem"][key])
+    assert bullets["nonlinearity"] == "1 u^3"
+    assert _md_rows(md["Stationary points"]) == _md_points(points)
+
+
+def test_audit_formats_carry_the_json_numbers():
+    data, rows, md = _formats(
+        "audit", "--preset", "duffing", "--A", "1", "--eps", "1", "--space", "al-double"
+    )
+    audit = data["audit"]
+
+    # CSV: 17 significant digits, so every number is the JSON's exactly
+    assert rows[0] == ["section", "key", "value"]
+    values = {(section, key): value for section, key, value in rows[1:]}
+    number = lambda text: None if text == "" else float(text)  # noqa: E731
+    assert number(values["bc", "u1_at_0"]) == audit["bc"]["u1_at_0"]
+    assert number(values["bc", "du1_at_0"]) == audit["bc"]["du1_at_0"]
+    assert number(values["audit", "amplitude_mismatch"]) == audit["amplitude_mismatch"]
+    assert values["audit", "trivial"] == str(audit["trivial"]["flag"]).lower()
+    for row in audit["freq_table"]:
+        assert number(values["freq", row["source"]]) == row["omega"]
+    assert [(k, v) for s, k, v in rows[1:] if s == "finding"] == [
+        (f["code"], f["message"]) for f in audit["findings"]
+    ]
+
+    # Markdown: 12 significant digits, fewer where the column says so
+    problem = _md_bullets(md["Problem"])
+    for key, value in data["problem"].items():
+        assert ast.literal_eval(problem[key]) == value
+    assert _md_rows(md["Stationary points"]) == _md_points(data["stationary_points"])
+    boundary = _md_bullets(md["Boundary and amplitude"])
+    assert boundary["u1(0)"] == _g(audit["bc"]["u1_at_0"])
+    assert boundary["u1'(0)"] == _g(audit["bc"]["du1_at_0"])
+    assert boundary["amplitude mismatch u_app(0) - A"] == _g(audit["amplitude_mismatch"])
+    assert f"(threshold {_g(audit['trivial']['threshold'], 3)})" in md[
+        "Boundary and amplitude"
+    ][-1]
+    assert _md_rows(md["Frequency table"]) == [
+        [r["source"], _g(r["omega"]), _g(r["rel_err_vs_exact"], 6), r["note"]]
+        for r in audit["freq_table"]
+    ]
+    findings = md["Findings"]
+    assert [line[4:] for line in findings if line.startswith("### ")] == [
+        f["code"] for f in audit["findings"]
+    ]
+    shown = _md_bullets(findings)
+    for finding in audit["findings"]:
+        assert finding["message"] in findings
+        for key, value in finding["data"].items():
+            assert ast.literal_eval(shown[key]) == value
 
 
 def test_exact_verb_agreement():
