@@ -15,8 +15,10 @@ derivative includes the dependence of the integration limit T on w.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,20 +26,21 @@ from .fourier import TrigSeries
 from .models import OscillatorProblem, effective_omega0
 from .hpm import order1_forcing
 
-# Solver policy. The scan grid and bracket factors cover the hardening
-# cubic cases with ample margin; tolerances are relative so they survive
-# parameter sweeps.
+# Solver policy. The zero-amplitude ray's grid and the bracket factors
+# cover the hardening cubic cases with ample margin; tolerances are
+# relative so they survive parameter sweeps.
 GRID_POINTS = 512
 BRACKET_FACTORS = (0.5, 3.0)
 FD_STEP_REL = 1e-5
 FD_VERIFY_STEP_REL = 1e-4  # wider step for residual checks, below FD noise
-OMEGA_REL_TOL = 1e-12
 GRAD_TOL_SCALE = 1e-10
 TRIVIALITY_SCALE = 1e-10
-CONTINUATION_STEPS = 8
 COND_LIMIT = 1e12
 MERGE_REL_TOL = 1e-9
 JOINT_RAY_TOL = 1e-9
+# Digits of the square roots of the stationarity quadratic: far beyond a
+# double, so each frequency is rounded once, correctly.
+_CONTEXT = decimal.Context(prec=40)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -291,8 +294,6 @@ def _sign_change_candidates(grid, values):
     n = len(grid)
     for k in range(n - 1):
         a, b = values[k], values[k + 1]
-        if a is None or b is None:
-            continue
         if a == 0.0:
             prev = values[k - 1] if k > 0 else None
             if b != 0.0 and (prev is None or prev != 0.0):
@@ -302,37 +303,92 @@ def _sign_change_candidates(grid, values):
             continue  # handled as the left endpoint of the next pair
         if (a < 0.0) != (b < 0.0):
             brackets.append(k)
-    if n and values[-1] == 0.0 and (n < 2 or (values[-2] not in (None, 0.0))):
+    if n and values[-1] == 0.0 and (n < 2 or values[-2] != 0.0):
         zeros.append(n - 1)
     return brackets, zeros
 
 
-def _scan_function(problem, space, omega):
-    form = assemble(problem, space, omega)
-    return d_omega(problem, space, omega, solve_B(form))
+def _solve_exact(matrix, columns):
+    """matrix^-1 @ column for each column, exactly; None if matrix is singular."""
+    n = len(matrix)
+    rows = [row + [column[i] for column in columns] for i, row in enumerate(matrix)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [v - rows[r][c] * p for v, p in zip(rows[r], rows[c])]
+    return [[row[n + j] for row in rows] for j in range(len(columns))]
 
 
-def _newton_polish(problem, space, omega, span):
-    """One secant-Newton correction using the wider verification step.
+def _at(poly, e):
+    return sum(c * e**m for m, c in enumerate(poly))
 
-    The bisection stage locates the root of the noisy default-step
-    derivative; this relocates it on the quieter wide-step estimate.
+
+def _positive_on(poly, lo, hi):
+    """Whether a quadratic (lowest coefficient first) is positive on [lo, hi]."""
+    vertex = -poly[1] / (2 * poly[2]) if poly[2] > 0 else lo
+    return all(_at(poly, e) > 0 for e in (lo, hi, min(max(vertex, lo), hi)))
+
+
+def _decimal(x: Fraction) -> decimal.Decimal:
+    return decimal.Decimal(x.numerator) / x.denominator
+
+
+def _stationary_frequencies(problem: OscillatorProblem, space: TrialSpace):
+    """Frequencies of the stationary points at B = -M^-1 g, and the one
+    continued from the linear limit (None if that branch dies before eps).
+
+    With M(w) = pi w Mh and g(w) = (pi / w) (q - w^2 g1), q = eps g0 + w0^2 g1,
+    eliminating B turns dJ/dw = 0 into (alpha / 2) s^2 + beta s -
+    (3 / 2) gamma = 0 in s = w^2: alpha = g1'N g1, beta = q'N g1,
+    gamma = q'N q, N = Mh^-1. Every quantity is formed exactly.
     """
-    delta = 1e-6 * omega
-
-    def fn(w):
-        return d_omega(
-            problem, space, w, solve_B(assemble(problem, space, w)),
-            step_rel=FD_VERIFY_STEP_REL,
-        )
-
-    slope = (fn(omega + delta) - fn(omega - delta)) / (2.0 * delta)
-    if slope == 0.0 or not math.isfinite(slope):
-        return omega
-    correction = -fn(omega) / slope
-    if abs(correction) > span:
-        return omega
-    return omega + correction
+    amplitude = Fraction(problem.amplitude)
+    c = {}  # cos^p = 2^(1-p) sum_j C(p, j) cos((p - 2j) theta); f is odd, so c_0 = 0
+    for p, coefficient in problem.nonlinearity.coefficients.items():
+        scale = Fraction(coefficient) * amplitude**p / 2 ** (p - 1)
+        for j in range((p + 1) // 2):
+            c[p - 2 * j] = c.get(p - 2 * j, 0) + math.comb(p, j) * scale
+    shapes = [{k: Fraction(a) for k, a in shape.items()} for shape in space.shapes]
+    mhat = [[sum((2 if k == 0 else 1) * (1 - k * k) * a * t.get(k, 0) for k, a in s.items())
+             for t in shapes] for s in shapes]
+    g1 = [amplitude * s.get(1, 0) for s in shapes]
+    g0 = [sum(a * c.get(k, 0) for k, a in s.items()) for s in shapes]
+    solved = _solve_exact(mhat, (g1, g0))
+    if solved is None:
+        return [], None
+    alpha, cross, square = (sum(x * y for x, y in zip(u, v))
+                            for u, v in ((g1, solved[0]), (g0, solved[0]), (g0, solved[1])))
+    # beta, gamma and D = beta^2 + 3 alpha gamma as polynomials in the strength
+    w0_sq, eps = Fraction(problem.omega0_sq), Fraction(problem.epsilon)
+    beta = (w0_sq * alpha, cross)
+    gamma = (w0_sq**2 * alpha, 2 * w0_sq * cross, square)
+    square_of_beta = (beta[0] ** 2, 2 * beta[0] * beta[1], beta[1] ** 2)
+    disc = [x + 3 * alpha * y for x, y in zip(square_of_beta, gamma)]
+    b, g, d = _at(beta, eps), _at(gamma, eps), _at(disc, eps)
+    with decimal.localcontext(_CONTEXT):
+        if alpha == 0:
+            squares = [_decimal(3 * g / (2 * b))] if b else []
+        elif d <= 0:
+            squares = [_decimal(-b / alpha)] if d == 0 else []
+        else:  # without cancellation
+            lead = -(_decimal(b) + (1 if b >= 0 else -1) * _decimal(d).sqrt())
+            squares = [lead / _decimal(alpha), _decimal(-3 * g) / lead]
+        # The root (-beta + sign(alpha) sqrt(D)) / alpha is w0^2 at e = 0. It
+        # reaches eps if D > 0 and it stays positive, i.e. sign(alpha) beta < 0
+        # or sign(alpha) gamma > 0, all the way; sign(alpha) beta > 0 at e = 0.
+        linear = None
+        lo, hi = min(eps, 0), max(eps, 0)
+        if alpha and w0_sq > 0 and _positive_on(disc, lo, hi):  # so d > 0
+            if beta[1] and lo < -beta[0] / beta[1] < hi:
+                lo, hi = sorted((0, -beta[0] / beta[1]))
+            if _positive_on([x if alpha > 0 else -x for x in gamma], lo, hi):
+                linear = float(squares[0 if (alpha > 0) != (b >= 0) else 1].sqrt())
+        return [float(s.sqrt()) for s in squares if s > 0], linear
 
 
 def solve_stationary(
@@ -344,14 +400,14 @@ def solve_stationary(
 
     Two routes are combined deterministically:
 
-    * a scan of dJ/dw along the curve B(w) solving M B = -g, with sign
-      changes polished by bisection plus secant steps;
+    * the roots of the exact quadratic in w^2 to which joint stationarity
+      reduces (see ``_stationary_frequencies``), at B solving M B = -g;
     * the zero-amplitude ray, on which stationarity reduces to the joint
       vanishing of every forcing projection g_i(w).
 
     Coincident roots are merged (the exact ray root wins) and each point is
-    labelled: the one continuously connected to the linear limit as the
-    nonlinearity is switched off is tagged ``continued-from-linear``,
+    labelled: the one on the branch continued from the linear limit as the
+    nonlinearity is switched on is tagged ``continued-from-linear``,
     remaining points ``trivial-B`` or ``stationary``.
     """
     if bracket is None:
@@ -360,31 +416,13 @@ def solve_stationary(
     if not (0.0 < lo < hi):
         raise BracketError(f"bracket must satisfy 0 < low < high, got ({lo}, {hi})")
 
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    forms = [assemble(problem, space, w) for w in grid]
-
-    scan_vals = []
-    for w, form in zip(grid, forms):
-        try:
-            scan_vals.append(d_omega(problem, space, w, solve_B(form)))
-        except SingularMatrixError:
-            scan_vals.append(None)
-
-    candidates = []  # (omega, source)
-    span = (hi - lo) / (GRID_POINTS - 1)
-    brackets, zeros = _sign_change_candidates(grid, scan_vals)
-    for k in brackets:
-        root = _refine_sign_change(
-            lambda w: _scan_function(problem, space, w),
-            grid[k], grid[k + 1], scan_vals[k], scan_vals[k + 1], OMEGA_REL_TOL,
-        )
-        candidates.append((_newton_polish(problem, space, root, span), "scan"))
-    for k in zeros:
-        candidates.append((float(grid[k]), "scan"))
+    frequencies, linear = _stationary_frequencies(problem, space)
+    candidates = [(w, "quadratic") for w in frequencies if lo <= w <= hi]
 
     # Zero-amplitude ray: roots of each projection, kept only when every
     # component vanishes there jointly.
-    gmat = np.array([form.vector for form in forms])
+    grid = np.linspace(lo, hi, GRID_POINTS)
+    gmat = np.array([assemble(problem, space, w).vector for w in grid])
     g_scale = max(1.0, float(np.max(np.abs(gmat))) if gmat.size else 0.0)
     ray_roots = []
     for i in range(space.dimension):
@@ -445,64 +483,18 @@ def solve_stationary(
         merged.append((point, source))
 
     result = [point for point, _ in merged]
-    _label_branches(problem, space, result)
+    _label_branches(problem, result, linear)
     return result
 
 
-def _track_local(problem, space, omega_guess):
-    """Locate the stationary w nearest to a guess, widening the window as
-    needed; None when no sign change is found."""
-    for factor in (1.1, 1.35, 1.8, 2.5, 4.0):
-        lo = omega_guess / factor
-        hi = omega_guess * factor
-        window = np.linspace(lo, hi, 25)
-        values = []
-        for w in window:
-            try:
-                values.append(_scan_function(problem, space, w))
-            except SingularMatrixError:
-                values.append(None)
-        brackets, zeros = _sign_change_candidates(window, values)
-        roots = []
-        for k in brackets:
-            roots.append(
-                _refine_sign_change(
-                    lambda w: _scan_function(problem, space, w),
-                    window[k], window[k + 1], values[k], values[k + 1], 1e-10,
-                )
-            )
-        roots.extend(float(window[k]) for k in zeros)
-        if roots:
-            return min(roots, key=lambda r: abs(r - omega_guess))
-    return None
-
-
-def _label_branches(problem, space, points):
-    """Tag the branch continuously connected to the linear limit.
-
-    The connection is traced by switching the nonlinearity on in
-    CONTINUATION_STEPS equal increments and following the nearest
-    stationary frequency from w0.
-    """
+def _label_branches(problem, points, linear):
+    """Tag the point nearest the linear branch's frequency, within 5%."""
     for point in points:
         trivial = (
             float(np.max(np.abs(point.amplitudes))) if point.amplitudes.size else 0.0
         ) <= TRIVIALITY_SCALE * problem.amplitude
         point.branch = "trivial-B" if trivial else "stationary"
-    if not points or problem.omega0_sq <= 0.0:
-        return
-    tracked = math.sqrt(problem.omega0_sq)
-    if problem.epsilon != 0.0:
-        for step in range(1, CONTINUATION_STEPS + 1):
-            scaled = OscillatorProblem(
-                problem.omega0_sq,
-                problem.epsilon * step / CONTINUATION_STEPS,
-                problem.nonlinearity,
-                problem.amplitude,
-            )
-            tracked = _track_local(scaled, space, tracked)
-            if tracked is None:
-                return
-    nearest = min(points, key=lambda p: abs(p.omega - tracked))
-    if abs(nearest.omega - tracked) <= 0.05 * tracked:
-        nearest.branch = "continued-from-linear"
+    if points and linear is not None:
+        nearest = min(points, key=lambda p: abs(p.omega - linear))
+        if abs(nearest.omega / linear - 1.0) <= 0.05:  # false if linear overflowed
+            nearest.branch = "continued-from-linear"

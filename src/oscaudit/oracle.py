@@ -162,15 +162,16 @@ def _depth_coefficients(problem: OscillatorProblem):
 def _check_oscillatory(problem: OscillatorProblem, samples: int = 512):
     """V(A) must strictly dominate V(u) on [0, A): D(u^2) > 0 at samples.
 
-    Returns the coefficients of D (see ``_depth_coefficients``).
+    D(A^2 x) is sampled at x in [0, 1) with coefficients scaled in decimal
+    by the largest, so no sample overflows. Returns the coefficients of D.
     """
     with decimal.localcontext(_CONTEXT):
         coefficients = _depth_coefficients(problem)
-    v = np.linspace(0.0, problem.amplitude, samples + 1)[:-1] ** 2
-    depth = np.zeros_like(v)
-    for c in reversed(coefficients):
-        depth = depth * v + float(c)
-    if np.any(depth <= 0.0):
+        scaled = [c * _amplitude_squared(problem) ** m for m, c in enumerate(coefficients)]
+        largest = max(abs(c) for c in scaled) or 1
+        scaled = [float(c / largest) for c in scaled]
+    depth = np.polynomial.polynomial.polyval((np.arange(samples) / samples) ** 2, scaled)
+    if not np.all(depth > 0.0):
         raise NonOscillatoryError(
             "V(A) does not dominate V(u) on [0, A); the configuration "
             "does not oscillate with this amplitude"
@@ -181,7 +182,8 @@ def _check_oscillatory(problem: OscillatorProblem, samples: int = 512):
 def exact_period_quadrature(problem: OscillatorProblem) -> ExactResult:
     """Energy-integral period with a node-doubling convergence schedule.
 
-    ``est_error`` is the relative difference of the last two levels.
+    ``est_error`` is the relative difference of the last two levels. Raises
+    ``OverflowError`` when the frequency does not fit in a double.
     """
     coefficients = _check_oscillatory(problem)
     with decimal.localcontext(_CONTEXT):
@@ -225,9 +227,14 @@ def exact_period_quadrature(problem: OscillatorProblem) -> ExactResult:
             if previous is not None:
                 delta = float(abs(quarter - previous) / quarter)
                 if delta < QUAD_REL_TOL:
+                    frequency = float(_PI / (2 * quarter))
+                    if not math.isfinite(frequency):
+                        raise OverflowError(
+                            f"the frequency overflows a double (A = {problem.amplitude})"
+                        )
                     return ExactResult(
                         period=float(4 * quarter),
-                        frequency=float(_PI / (2 * quarter)),
+                        frequency=frequency,
                         method="quadrature",
                         est_error=delta,
                     )

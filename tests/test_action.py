@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oscaudit.models import duffing
+from oscaudit.models import OscillatorProblem, Polynomial, duffing
 from oscaudit.action import (
     BracketError,
     QuadraticForm,
@@ -290,3 +290,112 @@ def test_default_bracket_requires_positive_scale():
     assert 0.0 < lo < math.sqrt(1.75) < hi
     with pytest.raises(BracketError):
         default_bracket(duffing(1.0, -2.0))  # softened past the linear stiffness
+
+
+# f = -u^3 + u^5 softens, then hardens. On the single shape the root
+# continued from the linear limit is s = q / g1 with q = eps g0 + w0^2 g1,
+# which reaches s = 0 where q does; past that the only positive root is
+# s = -3 q / g1, the continuation of s = -3 w0^2.
+SOFT_HARD = Polynomial({3: -1.0, 5: 1.0})
+
+
+def test_label_far_past_the_death_of_the_linear_branch():
+    # the linear branch reaches s = 0 at eps = -0.594 (w0^2 = 2, A = 1.75)
+    problem = OscillatorProblem(2.0, -10.0, SOFT_HARD, 1.75)
+    points = solve_stationary(problem, single_shape_space())
+    assert len(points) == 1
+    assert points[0].omega == pytest.approx(9.7512268859, rel=1e-10)
+    assert points[0].branch == "stationary"
+
+
+def test_label_just_past_the_death_of_the_linear_branch():
+    # the linear branch reaches s = 0 at eps = -0.222 (w0^2 = 1, A = 1.85)
+    problem = OscillatorProblem(1.0, -0.36, SOFT_HARD, 1.85)
+    points = solve_stationary(problem, single_shape_space())
+    assert len(points) == 1
+    assert points[0].branch == "stationary"
+
+
+def test_label_follows_the_linear_branch_at_any_strength():
+    points = solve_stationary(duffing(1.0, 1e200), single_shape_space())
+    assert len(points) == 1
+    assert points[0].omega == pytest.approx(math.sqrt(0.75) * 1e100, rel=1e-12)
+    assert points[0].branch == "continued-from-linear"
+
+
+REFERENCE_DIGITS = 50
+
+
+def _reference_frequencies(mpmath, problem, space):
+    """Positive roots w of (alpha/2) s^2 + beta s - (3/2) gamma = 0, s = w^2,
+    at 50 digits, from Mhat, g0 and g1 formed in mpmath."""
+    with mpmath.workdps(REFERENCE_DIGITS):
+        amplitude = mpmath.mpf(problem.amplitude)
+        harmonics = {}
+        for p, c in problem.nonlinearity.coefficients.items():
+            for j in range((p + 1) // 2):
+                harmonics[p - 2 * j] = harmonics.get(p - 2 * j, 0) + (
+                    mpmath.mpf(c) * amplitude**p * math.comb(p, j) / mpmath.mpf(2) ** (p - 1)
+                )
+        shapes = [{k: mpmath.mpf(a) for k, a in s.items()} for s in space.shapes]
+        n = len(shapes)
+        mhat = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                mhat[i, j] = sum(
+                    (2 if k == 0 else 1) * (1 - k * k) * a * shapes[j].get(k, 0)
+                    for k, a in shapes[i].items()
+                )
+        g1 = mpmath.matrix([amplitude * s.get(1, 0) for s in shapes])
+        g0 = mpmath.matrix([
+            sum((2 if k == 0 else 1) * a * harmonics.get(k, 0) for k, a in s.items())
+            for s in shapes
+        ])
+        q = mpmath.mpf(problem.epsilon) * g0 + mpmath.mpf(problem.omega0_sq) * g1
+        inverse = mpmath.inverse(mhat)
+        alpha = (g1.T * inverse * g1)[0]
+        beta = (q.T * inverse * g1)[0]
+        gamma = (q.T * inverse * q)[0]
+        root = mpmath.sqrt(beta**2 + 3 * alpha * gamma)
+        squares = [(-beta + root) / alpha, (-beta - root) / alpha]
+        return sorted(float(mpmath.sqrt(s)) for s in squares if s > 0)
+
+
+@pytest.mark.parametrize(
+    "problem, space, bracket",
+    [
+        (duffing(1.0, 1.0), double_shape_space(), None),
+        # eps < 0 puts the ray's root at s < 0: the point is s = -3 q / g1
+        (
+            OscillatorProblem(1.0, -2.0, Polynomial({3: 1.0, 5: 0.2}), 1.0),
+            single_shape_space(),
+            (0.5, 3.0),
+        ),
+        (
+            duffing(1.0, 1.0),
+            TrialSpace(
+                "three",
+                (
+                    {1: 1.0, 3: -0.2},
+                    {3: 0.2, 5: -1.0 / 7.0},
+                    {5: 1.0 / 7.0, 7: -1.0 / 9.0},
+                ),
+            ),
+            None,
+        ),
+    ],
+    ids=["al-double-duffing", "al-single-cubic-quintic", "three-shapes"],
+)
+def test_solve_stationary_frequency_is_correctly_rounded(problem, space, bracket):
+    mpmath = pytest.importorskip("mpmath")
+    points = solve_stationary(problem, space, bracket)
+    off_ray = [p for p in points if np.any(p.amplitudes != 0.0)]
+    assert off_ray
+    reference = _reference_frequencies(mpmath, problem, space)
+    for point in off_ray:
+        assert point.omega in reference
+
+
+def test_solve_stationary_double_shape_duffing_bits():
+    (point,) = solve_stationary(duffing(1.0, 1.0), double_shape_space())
+    assert point.omega == 1.3114948107911968

@@ -198,6 +198,19 @@ def test_quadrature_rejects_separatrix_amplitude():
         exact_period_quadrature(duffing(1.0, -1.0))
 
 
+def test_quadrature_oscillation_check_does_not_overflow():
+    # A^2 = 1e320 is not a double; D is sampled through scaled coefficients,
+    # and any RuntimeWarning would fail the suite
+    result = exact_period_quadrature(duffing(1e160, 1.0))
+    assert result.frequency == 8.47213084793979e159
+
+
+def test_quadrature_raises_when_the_frequency_overflows():
+    problem = OscillatorProblem(1.0, 1.0, Polynomial({3: -1.0, 5: 1.0}), 1e160)
+    with pytest.raises(OverflowError, match="frequency overflows"):
+        exact_period_quadrature(problem)
+
+
 def test_scipy_is_loaded_only_by_the_ode_route():
     script = (
         "import sys\n"
