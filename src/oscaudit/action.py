@@ -7,10 +7,13 @@ T = 2 pi / w the functional
     J(u1) = integral_0^T [ -u1'^2/2 + w^2 u1^2/2
                            + (w0^2 - w^2) u0 u1 + eps f(u0) u1 ] dt
 
-is exactly quadratic in the amplitudes, J(B) = B'MB/2 + g'B, with every
-entry available in closed form through the series algebra. Stationary
-points solve M B = -g jointly with dJ/dw = 0, where the frequency
-derivative includes the dependence of the integration limit T on w.
+is exactly quadratic in the amplitudes, J(B) = B'MB/2 + g'B, with
+M(w) = pi w Mh and g(w) = (pi / w) (q - w^2 g1) for constant Mh, g1 and q.
+Stationary points solve M B = -g jointly with dJ/dw = 0, where the
+frequency derivative includes the dependence of the integration limit T on
+w. Mh, g1 and q are formed exactly from the input doubles, and every value
+reported at a point (w, B, J and the derivatives) is derived from them and
+rounded once.
 """
 
 from __future__ import annotations
@@ -31,16 +34,13 @@ from .hpm import order1_forcing
 # relative so they survive parameter sweeps.
 GRID_POINTS = 512
 BRACKET_FACTORS = (0.5, 3.0)
-FD_STEP_REL = 1e-5
-FD_VERIFY_STEP_REL = 1e-4  # wider step for residual checks, below FD noise
-GRAD_TOL_SCALE = 1e-10
 TRIVIALITY_SCALE = 1e-10
-COND_LIMIT = 1e12
 MERGE_REL_TOL = 1e-9
 JOINT_RAY_TOL = 1e-9
-# Digits of the square roots of the stationarity quadratic: far beyond a
-# double, so each frequency is rounded once, correctly.
+# Digits of the square roots of the stationarity quadratic and of every
+# product with pi: far beyond a double, so each value is rounded once.
 _CONTEXT = decimal.Context(prec=40)
+_PI = decimal.Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
 
 
 class SingularMatrixError(ArithmeticError):
@@ -57,7 +57,7 @@ class TrialSpace:
 
     Each shape is a harmonic -> coefficient map; the shapes are
     instantiated at a concrete base frequency only when evaluated. Shapes
-    must be linearly independent.
+    must be linearly independent, which is decided exactly.
     """
 
     name: str
@@ -82,13 +82,17 @@ class TrialSpace:
             if not entries:
                 raise ValueError(f"shape {idx} has no nonzero harmonic coefficient")
             cleaned.append(entries)
-        harmonics = sorted({k for shape in cleaned for k in shape})
-        matrix = np.array(
-            [[shape.get(k, 0.0) for k in harmonics] for shape in cleaned]
-        )
-        if np.linalg.matrix_rank(matrix) < len(cleaned):
+        exact = [{k: Fraction(a) for k, a in shape.items()} for shape in cleaned]
+        gram = [[sum(a * t.get(k, 0) for k, a in s.items()) for t in exact] for s in exact]
+        if _solve_exact(gram, ()) is None:
             raise ValueError(f"trial space '{self.name}': shapes are linearly dependent")
+        # Mh of M(w) = pi w Mh; the constant harmonic's period mean is doubled
+        mhat = [[sum((2 if k == 0 else 1) * (1 - k * k) * a * t.get(k, 0) for k, a in s.items())
+                 for t in exact] for s in exact]
         object.__setattr__(self, "shapes", tuple(cleaned))
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_mhat", mhat)
+        object.__setattr__(self, "_matrix", np.array(mhat, dtype=float).reshape(len(mhat), -1))
 
     @property
     def dimension(self):
@@ -150,53 +154,71 @@ class QuadraticForm:
 
 
 def assemble(problem: OscillatorProblem, space: TrialSpace, omega: float) -> QuadraticForm:
-    """Build M and g in closed form from period inner products.
+    """Build M and g in closed form.
 
-    M_ij = integral_0^T [-phi_i' phi_j' + w^2 phi_i phi_j] dt and
-    g_i = integral_0^T forcing * phi_i dt, with the order-1 forcing
+    M = pi w Mh from the space's exact Mh, and g_i = integral_0^T forcing *
+    phi_i dt on the series algebra, with the order-1 forcing
     eps f(u0) + (w0^2 - w^2) u0.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     forcing = order1_forcing(problem, omega)
-    phis = space.basis_series(omega)
-    dphis = [phi.differentiate() for phi in phis]
-    n = space.dimension
-    matrix = np.zeros((n, n))
-    vector = np.zeros(n)
-    w_sq = omega * omega
-    for i in range(n):
-        for j in range(i, n):
-            entry = -dphis[i].inner_product(dphis[j]) + w_sq * phis[i].inner_product(
-                phis[j]
-            )
-            matrix[i, j] = entry
-            matrix[j, i] = entry
-        vector[i] = forcing.inner_product(phis[i])
-    return QuadraticForm(matrix, vector)
+    vector = np.array([forcing.inner_product(phi) for phi in space.basis_series(omega)])
+    return QuadraticForm((math.pi * omega) * space._matrix, vector)
 
 
 def solve_B(form: QuadraticForm) -> np.ndarray:
-    """Unique stationary amplitudes at fixed w: solve M B = -g."""
-    try:
-        cond = np.linalg.cond(form.matrix)
-    except np.linalg.LinAlgError as err:  # SVD fails on overflowed entries
-        raise SingularMatrixError(f"quadratic form is singular ({err})") from None
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(
-            f"quadratic form is singular (condition number {cond:.3g})"
-        )
-    return np.linalg.solve(form.matrix, -form.vector)
+    """Unique stationary amplitudes at fixed w: solve M B = -g exactly from
+    the form's doubles, rounding each component once."""
+    if not (np.all(np.isfinite(form.matrix)) and np.all(np.isfinite(form.vector))):
+        raise SingularMatrixError("quadratic form has a non-finite entry")
+    matrix = [[Fraction(v) for v in row] for row in form.matrix.tolist()]
+    solved = _solve_exact(matrix, ([-Fraction(v) for v in form.vector.tolist()],))
+    if solved is None:
+        raise SingularMatrixError("quadratic form is singular")
+    return np.array([float(b) for b in solved[0]])
 
 
-def action_integrand(
-    problem: OscillatorProblem, space: TrialSpace, omega: float, amplitudes
-) -> TrigSeries:
-    """The functional's integrand as a series; its period integral is J(B)."""
-    u1 = space.correction(omega, amplitudes)
-    du1 = u1.differentiate()
-    forcing = order1_forcing(problem, omega)
-    return -0.5 * (du1 * du1) + (0.5 * omega * omega) * (u1 * u1) + forcing * u1
+def _times_pi(x) -> float:
+    """pi x for an exact x, rounded once to a double (inf past the range)."""
+    with decimal.localcontext(_CONTEXT):
+        return float(_decimal(x) * _PI)
+
+
+def _projections(problem: OscillatorProblem, space: TrialSpace):
+    """Exact g1 and g0 of g(w) = (pi / w) (eps g0 + (w0^2 - w^2) g1)."""
+    amplitude = Fraction(problem.amplitude)
+    c = {}  # cos^p = 2^(1-p) sum_j C(p, j) cos((p - 2j) theta); f is odd, so c_0 = 0
+    for p, coefficient in problem.nonlinearity.coefficients.items():
+        scale = Fraction(coefficient) * amplitude**p / 2 ** (p - 1)
+        for j in range((p + 1) // 2):
+            c[p - 2 * j] = c.get(p - 2 * j, 0) + math.comb(p, j) * scale
+    g1 = [amplitude * s.get(1, 0) for s in space._exact]
+    g0 = [sum(a * c.get(k, 0) for k, a in s.items()) for s in space._exact]
+    return g1, g0
+
+
+def _derivatives(problem: OscillatorProblem, space: TrialSpace, omega: float, amplitudes):
+    """dJ/dB, dJ/dw and the frozen window's extra term, each over pi, exactly
+    at the given doubles.
+
+    dJ/dB = pi (w Mh B + (q - w^2 g1) / w) and dJ/dw = pi (B'Mh B / 2 -
+    q'B / w^2 - g1'B). Freezing the window at T removes L(T) dT/dw, i.e.
+    adds (2 pi / w^2) L(T); for cosine shapes L(T) = L(0) =
+    w^2 u1(0)^2 / 2 + (w0^2 - w^2) A u1(0) + eps f(A) u1(0).
+    """
+    w, b = Fraction(omega), [Fraction(float(x)) for x in amplitudes]
+    s, amplitude = w * w, Fraction(problem.amplitude)
+    eps, w0_sq = Fraction(problem.epsilon), Fraction(problem.omega0_sq)
+    g1, g0 = _projections(problem, space)
+    q = [eps * x + w0_sq * y for x, y in zip(g0, g1)]
+    mb = [sum(m * y for m, y in zip(row, b)) for row in space._mhat]
+    gradient = [w * x + (qi - s * gi) / w for x, qi, gi in zip(mb, q, g1)]
+    slope = sum(y * (x / 2 - qi / s - gi) for y, x, qi, gi in zip(b, mb, q, g1))
+    u1_0 = sum(y * sum(shape.values()) for y, shape in zip(b, space._exact))
+    f_a = sum(Fraction(c) * amplitude**p for p, c in problem.nonlinearity.coefficients.items())
+    boundary = (s * u1_0 / 2 + (w0_sq - s) * amplitude + eps * f_a) * u1_0
+    return gradient, slope, 2 * boundary / s
 
 
 def d_omega(
@@ -204,11 +226,9 @@ def d_omega(
     space: TrialSpace,
     omega: float,
     amplitudes,
-    step_rel: float = FD_STEP_REL,
     include_period_term: bool = True,
 ) -> float:
-    """Total dJ/dw at fixed amplitudes by Richardson-extrapolated central
-    differences on the closed-form assembly.
+    """Total dJ/dw at fixed amplitudes, in closed form and rounded once.
 
     The default includes the dependence of the upper limit T = 2 pi / w on
     w. With ``include_period_term`` false, the boundary contribution
@@ -217,22 +237,8 @@ def d_omega(
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    h = step_rel * omega
-    if h == 0.0 or omega + h == omega or omega - h <= 0.0:
-        raise ValueError(f"finite-difference step underflow at omega={omega}")
-    b = np.asarray(amplitudes, dtype=float)
-
-    def j_at(w):
-        return assemble(problem, space, w).value(b)
-
-    def central(hh):
-        return (j_at(omega + hh) - j_at(omega - hh)) / (2.0 * hh)
-
-    derivative = (4.0 * central(0.5 * h) - central(h)) / 3.0
-    if include_period_term:
-        return derivative
-    boundary = action_integrand(problem, space, omega, b).evaluate(2.0 * math.pi / omega)
-    return derivative + (2.0 * math.pi / omega**2) * boundary
+    _, slope, frozen = _derivatives(problem, space, omega, amplitudes)
+    return _times_pi(slope if include_period_term else slope + frozen)
 
 
 @dataclass
@@ -338,27 +344,20 @@ def _decimal(x: Fraction) -> decimal.Decimal:
     return decimal.Decimal(x.numerator) / x.denominator
 
 
-def _stationary_frequencies(problem: OscillatorProblem, space: TrialSpace):
-    """Frequencies of the stationary points at B = -M^-1 g, and the one
-    continued from the linear limit (None if that branch dies before eps).
+def _stationary_frequencies(problem: OscillatorProblem, space: TrialSpace, bracket):
+    """The stationary points at B = -M^-1 g inside the bracket, as (w, B, J),
+    and the frequency continued from the linear limit (None if that branch
+    dies before eps).
 
     With M(w) = pi w Mh and g(w) = (pi / w) (q - w^2 g1), q = eps g0 + w0^2 g1,
     eliminating B turns dJ/dw = 0 into (alpha / 2) s^2 + beta s -
     (3 / 2) gamma = 0 in s = w^2: alpha = g1'N g1, beta = q'N g1,
-    gamma = q'N q, N = Mh^-1. Every quantity is formed exactly.
+    gamma = q'N q, N = Mh^-1. Every quantity is formed exactly. At the
+    rounded w, B = -(N q - s N g1) / s and J = g'B / 2 =
+    -pi (gamma - 2 s beta + s^2 alpha) / (2 w s), each rounded once.
     """
-    amplitude = Fraction(problem.amplitude)
-    c = {}  # cos^p = 2^(1-p) sum_j C(p, j) cos((p - 2j) theta); f is odd, so c_0 = 0
-    for p, coefficient in problem.nonlinearity.coefficients.items():
-        scale = Fraction(coefficient) * amplitude**p / 2 ** (p - 1)
-        for j in range((p + 1) // 2):
-            c[p - 2 * j] = c.get(p - 2 * j, 0) + math.comb(p, j) * scale
-    shapes = [{k: Fraction(a) for k, a in shape.items()} for shape in space.shapes]
-    mhat = [[sum((2 if k == 0 else 1) * (1 - k * k) * a * t.get(k, 0) for k, a in s.items())
-             for t in shapes] for s in shapes]
-    g1 = [amplitude * s.get(1, 0) for s in shapes]
-    g0 = [sum(a * c.get(k, 0) for k, a in s.items()) for s in shapes]
-    solved = _solve_exact(mhat, (g1, g0))
+    g1, g0 = _projections(problem, space)
+    solved = _solve_exact(space._mhat, (g1, g0))
     if solved is None:
         return [], None
     alpha, cross, square = (sum(x * y for x, y in zip(u, v))
@@ -388,7 +387,17 @@ def _stationary_frequencies(problem: OscillatorProblem, space: TrialSpace):
                 lo, hi = sorted((0, -beta[0] / beta[1]))
             if _positive_on([x if alpha > 0 else -x for x in gamma], lo, hi):
                 linear = float(squares[0 if (alpha > 0) != (b >= 0) else 1].sqrt())
-        return [float(s.sqrt()) for s in squares if s > 0], linear
+        frequencies = [float(s.sqrt()) for s in squares if s > 0]
+    points = []
+    n_q = [eps * n0 + w0_sq * n1 for n1, n0 in zip(*solved)]
+    for omega in frequencies:
+        if bracket[0] <= omega <= bracket[1]:
+            w = Fraction(omega)
+            s = w * w
+            amplitudes = [float((s * n1 - nq) / s) for n1, nq in zip(solved[0], n_q)]
+            action = _times_pi((2 * s * b - g - s * s * alpha) / (2 * w * s))
+            points.append((omega, np.array(amplitudes), action))
+    return points, linear
 
 
 def solve_stationary(
@@ -416,8 +425,8 @@ def solve_stationary(
     if not (0.0 < lo < hi):
         raise BracketError(f"bracket must satisfy 0 < low < high, got ({lo}, {hi})")
 
-    frequencies, linear = _stationary_frequencies(problem, space)
-    candidates = [(w, "quadratic") for w in frequencies if lo <= w <= hi]
+    roots, linear = _stationary_frequencies(problem, space, (lo, hi))
+    candidates = [(w, "quadratic", b, j) for w, b, j in roots]
 
     # Zero-amplitude ray: roots of each projection, kept only when every
     # component vanishes there jointly.
@@ -440,29 +449,18 @@ def solve_stationary(
     for root in ray_roots:
         g_here = assemble(problem, space, root).vector
         if float(np.max(np.abs(g_here))) <= JOINT_RAY_TOL * g_scale:
-            candidates.append((root, "ray"))
+            candidates.append((root, "ray", np.zeros(space.dimension), 0.0))
 
     points = []
-    for omega_c, source in sorted(candidates):
-        form = assemble(problem, space, omega_c)
-        if source == "ray":
-            b = np.zeros(space.dimension)
-        else:
-            try:
-                b = solve_B(form)
-            except SingularMatrixError:
-                continue
-        grad_b = float(np.max(np.abs(form.gradient(b)))) if space.dimension else 0.0
-        grad_w = abs(
-            d_omega(problem, space, omega_c, b, step_rel=FD_VERIFY_STEP_REL)
-        )
+    for omega_c, source, b, j in sorted(candidates, key=lambda c: c[:2]):
+        gradient, slope, _ = _derivatives(problem, space, omega_c, b)
         points.append(
             (
                 StationaryPoint(
                     omega=float(omega_c),
                     amplitudes=b,
-                    action_value=form.value(b),
-                    grad_norm=max(grad_b, grad_w),
+                    action_value=j,
+                    grad_norm=max(abs(_times_pi(x)) for x in [*gradient, slope]),
                     branch="stationary",
                 ),
                 source,

@@ -147,6 +147,18 @@ def test_solve_B_singular_for_pure_fundamental_shape():
         solve_B(form)
 
 
+def test_solve_B_rejects_a_matrix_that_is_only_rounding():
+    # Harmonic 1 has weight 1 - 1^2 = 0 in M, so M is exactly zero here; a
+    # matrix summed from inner products leaves a rounding residue instead,
+    # which a solve turns into a huge B.
+    space = TrialSpace("fundamental", ({1: -0.01171875},))
+    problem = OscillatorProblem(1.0, 1.0, Polynomial({5: 1.0}), 1.0)
+    form = assemble(problem, space, 1.2747548783981963)
+    assert form.matrix[0, 0] == 0.0
+    with pytest.raises(SingularMatrixError):
+        solve_B(form)
+
+
 def test_d_omega_zero_on_linear_trivial_ray():
     problem = duffing(1.0, 0.0)
     for omega in (0.6, 1.0, 2.4):
@@ -164,8 +176,8 @@ def test_d_omega_joint_stationarity_at_resonance_balance():
 
 def test_d_omega_matches_analytic_derivative():
     # M(w) = pi w Mhat with constant Mhat, and g(w) = (pi/w) K + pi A a1
-    # (w0^2/w - w); differentiating those closed forms term-wise gives an
-    # independent reference for the finite-difference path.
+    # (w0^2/w - w); differentiating those closed forms term-wise in floats
+    # gives an independent reference, off by a few ulps of its terms.
     rng = np.random.default_rng(42)
     for trial in range(10):
         amplitude = rng.uniform(0.5, 2.0)
@@ -187,8 +199,17 @@ def test_d_omega_matches_analytic_derivative():
                 + math.pi * amplitude * a1 * (-problem.omega0_sq / omega**2 - 1.0)
             )
         )
-        fd = d_omega(problem, space, omega, b)
-        assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(analytic))
+        # K carries the rounding of g and of the linear part it cancels
+        linear = amplitude * np.abs(a1) * abs(problem.omega0_sq - omega**2)
+        magnitude = 0.5 * math.pi * (np.abs(b) @ np.abs(mhat) @ np.abs(b)) + float(
+            np.abs(b)
+            @ (
+                math.pi * (np.abs(k_const) + 2.0 * linear) / omega**2
+                + math.pi * amplitude * np.abs(a1) * (problem.omega0_sq / omega**2 + 1.0)
+            )
+        )
+        exact = d_omega(problem, space, omega, b)
+        assert abs(exact - analytic) <= 16.0 * 2.0**-52 * magnitude
 
 
 def test_d_omega_rejects_nonpositive_omega():
@@ -246,9 +267,7 @@ def test_solve_stationary_envelope_property():
                 ) / (2.0 * hh)
 
             total = (4.0 * central(0.5 * h) - central(h)) / 3.0
-            partial = d_omega(
-                problem, space, point.omega, point.amplitudes, step_rel=1e-4
-            )
+            partial = d_omega(problem, space, point.omega, point.amplitudes)
             assert abs(total - partial) <= 1e-10 * (1.0 + abs(point.action_value))
 
 
@@ -399,3 +418,106 @@ def test_solve_stationary_frequency_is_correctly_rounded(problem, space, bracket
 def test_solve_stationary_double_shape_duffing_bits():
     (point,) = solve_stationary(duffing(1.0, 1.0), double_shape_space())
     assert point.omega == 1.3114948107911968
+
+
+THREE_SHAPES = TrialSpace(
+    "three",
+    ({1: 1.0, 3: -0.2}, {3: 0.2, 5: -1.0 / 7.0}, {5: 1.0 / 7.0, 7: -1.0 / 9.0}),
+)
+
+
+def _quadrature_reference(mpmath, problem, space, omega, amplitudes):
+    """B, J and dJ/dw (moving and frozen window) from 50-digit quadratures
+    of the definitions.
+
+    M and g are integrated over one period at ``omega`` and B solves
+    M B = -g; J integrates the Lagrangian at that B. Both derivatives
+    differentiate the integrated Lagrangian at the reported ``amplitudes``:
+    over [0, 2 pi / w] and over the window frozen at [0, 2 pi / omega].
+    """
+    with mpmath.workdps(REFERENCE_DIGITS):
+        w_point = mpmath.mpf(omega)
+        shapes = [{k: mpmath.mpf(a) for k, a in s.items()} for s in space.shapes]
+        f = {p: mpmath.mpf(c) for p, c in problem.nonlinearity.coefficients.items()}
+        amplitude, eps, w0_sq = (
+            mpmath.mpf(x) for x in (problem.amplitude, problem.epsilon, problem.omega0_sq)
+        )
+
+        def phi(shape, w, t):
+            return sum(a * mpmath.cos(k * w * t) for k, a in shape.items())
+
+        def dphi(shape, w, t):
+            return -sum(a * k * w * mpmath.sin(k * w * t) for k, a in shape.items())
+
+        def forcing(w, t):
+            u0 = amplitude * mpmath.cos(w * t)
+            return eps * sum(c * u0**p for p, c in f.items()) + (w0_sq - w * w) * u0
+
+        def integral(fn, end):
+            return mpmath.quad(fn, [0, end], method="gauss-legendre")
+
+        def action(b, w, end):
+            def lagrangian(t):
+                u1 = sum(y * phi(s, w, t) for y, s in zip(b, shapes))
+                du1 = sum(y * dphi(s, w, t) for y, s in zip(b, shapes))
+                return -du1**2 / 2 + w * w * u1**2 / 2 + forcing(w, t) * u1
+
+            return integral(lagrangian, end)
+
+        period = 2 * mpmath.pi / w_point
+        n = len(shapes)
+        m, g = mpmath.matrix(n, n), mpmath.matrix(n, 1)
+        for i, s_i in enumerate(shapes):
+            g[i] = integral(lambda t: forcing(w_point, t) * phi(s_i, w_point, t), period)
+            for j, s_j in enumerate(shapes):
+                m[i, j] = integral(
+                    lambda t: -dphi(s_i, w_point, t) * dphi(s_j, w_point, t)
+                    + w_point**2 * phi(s_i, w_point, t) * phi(s_j, w_point, t),
+                    period,
+                )
+        b = list(mpmath.lu_solve(m, -g))
+        reported = [mpmath.mpf(float(x)) for x in amplitudes]
+        total = mpmath.diff(lambda w: action(reported, w, 2 * mpmath.pi / w), w_point)
+        frozen = mpmath.diff(lambda w: action(reported, w, period), w_point)
+        return [float(x) for x in b], float(action(b, w_point, period)), float(total), float(frozen)
+
+
+@pytest.mark.parametrize(
+    "problem, space, omega, amplitudes, action, with_period_term, frozen_period",
+    [
+        (
+            duffing(1.0, 1.0),
+            double_shape_space(),
+            1.3114948107911968,
+            [-0.0007827241439374342, 0.03558795500425494],
+            0.002149977527375229,
+            7.249499233991661e-16,
+            0.001445680862923615,
+        ),
+        (
+            OscillatorProblem(1.0, 1.0, Polynomial({3: 1.0, 5: 0.2}), 1.0),
+            THREE_SHAPES,
+            1.3588061907117877,
+            [-0.001416675001121147, 0.05588249927283401, 0.026181150922825056],
+            0.004031682845979171,
+            4.099094930583652e-15,
+            0.0035055867447453355,
+        ),
+    ],
+    ids=["al-double-duffing", "three-shapes-cubic-quintic"],
+)
+def test_point_values_are_correctly_rounded(
+    problem, space, omega, amplitudes, action, with_period_term, frozen_period
+):
+    mpmath = pytest.importorskip("mpmath")
+    (point,) = solve_stationary(problem, space)
+    assert point.omega == omega
+    reference = _quadrature_reference(mpmath, problem, space, omega, point.amplitudes)
+    assert reference == (amplitudes, action, with_period_term, frozen_period)
+    assert list(point.amplitudes) == amplitudes
+    assert point.action_value == action
+    assert d_omega(problem, space, omega, point.amplitudes) == with_period_term
+    assert (
+        d_omega(problem, space, omega, point.amplitudes, include_period_term=False)
+        == frozen_period
+    )

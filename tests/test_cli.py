@@ -246,17 +246,11 @@ def test_format_is_checked_per_verb_before_the_solve(verb, fmt):
     [
         # the two-shape radical overflows: its row becomes null with a note
         (("audit", "--eps", "1e200"), 0, ""),
-        # d_omega is NaN in the frozen-window convention
-        (
-            ("audit", "--space", "al-double", "--A", "1e100"),
-            3,
-            "audit.domega_conventions.frozen_period",
-        ),
+        # J grows like A^3 and overflows
+        (("audit", "--space", "al-double", "--A", "1e120"), 3, "stationary_points[0].J"),
         (("analyze", "--A", "1e160"), 3, "A^2 overflows"),
         (("audit", "--A", "1e160"), 3, "A^2 overflows"),
         (("exact", "--A", "1e160"), 3, "A^2 overflows"),
-        # every scan matrix overflows, so no stationary point survives
-        (("audit", "--eps", "1e308"), 3, "no stationary point"),
     ],
 )
 def test_overflow_is_a_domain_error_or_a_null(args, code, message):
@@ -271,6 +265,25 @@ def test_overflow_is_a_domain_error_or_a_null(args, code, message):
         assert row["source"] == "closed_form_double"
         assert row["omega"] is None
         assert row["note"].startswith("unavailable: ")
+
+
+@pytest.mark.parametrize(
+    "args, omega",
+    [
+        # B, J and dJ/dw are formed exactly, so none of them overflows
+        (("audit", "--space", "al-double", "--A", "1e100"), 8.487523537560453e99),
+        # the ray's forcing overflows, but the exact quadratic's root does not
+        (("audit", "--eps", "1e308"), 8.660254037844386e153),
+    ],
+    ids=["al-double-A-1e100", "al-single-eps-1e308"],
+)
+def test_overflow_inside_the_exact_model_is_a_finite_report(args, omega):
+    result = run_cli(*args)
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    assert "Infinity" not in result.stdout
+    assert "NaN" not in result.stdout
+    assert json.loads(result.stdout)["audit"]["selected_omega"] == omega
 
 
 def _md_sections(text):

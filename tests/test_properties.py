@@ -2,9 +2,10 @@
 
 Each draw is an odd f with powers 3, 5 and 7, a strength, an amplitude and
 one to three cosine shapes on harmonics 1-9. At every point the solver
-returns, the closed-form assembly must match brute-force quadrature, and
-the Richardson frequency derivative at the stationary amplitudes must
-vanish to within its own rounding.
+returns, the closed-form assembly must match brute-force quadrature, the
+frequency derivative at the reported point must vanish to within the
+rounding of that point, and it must match a Richardson difference of the
+assembled J.
 """
 
 import math
@@ -18,7 +19,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, reject, settings, strategies as st  # noqa: E402
 
 from oscaudit.action import (  # noqa: E402
-    FD_VERIFY_STEP_REL,
     TrialSpace,
     assemble,
     d_omega,
@@ -30,6 +30,7 @@ from oscaudit.models import OscillatorProblem, Polynomial  # noqa: E402
 from conftest import gauss_integral  # noqa: E402
 
 UNIT_ROUNDOFF = 2.0**-52
+FD_STEP_REL = 1e-4
 
 SHAPE = st.dictionaries(
     st.integers(1, 9),
@@ -136,23 +137,31 @@ def test_stationary_points_satisfy_both_conditions(problem, space):
             assert not np.any(point.amplitudes)
             assert d_omega(problem, space, omega, point.amplitudes) == 0.0
             continue
-        b = solve_B(form)
+        b = point.amplitudes
 
         def on_curve(w):
-            return d_omega(
-                problem, space, w, solve_B(assemble(problem, space, w)),
-                step_rel=FD_VERIFY_STEP_REL,
-            )
+            return d_omega(problem, space, w, solve_B(assemble(problem, space, w)))
 
-        # Two sources of error: each J(w +- h) the differences use is off by
-        # a few ulps of its terms' magnitude, amplified by 1/h; and the
-        # rounded frequency (the ray's bisection root, or the correctly
-        # rounded quadratic root) misses the exact one by a few ulps, which
-        # the slope of dJ/dw along B(w) carries into the value.
-        h = FD_VERIFY_STEP_REL * omega
+        def central(hh):
+            return (
+                assemble(problem, space, omega + hh).value(b)
+                - assemble(problem, space, omega - hh).value(b)
+            ) / (2.0 * hh)
+
+        # The reported point misses the exact one by the rounding of w (the
+        # ray's bisection root, or the correctly rounded quadratic root),
+        # which the slope of dJ/dw along B(w) carries into the value, and by
+        # the rounding of each B_i, to which dJ/dw responds by at most twice
+        # the magnitudes summed into it, S / w.
         delta = 1e-6 * omega
         slope = (on_curve(omega + delta) - on_curve(omega - delta)) / (2.0 * delta)
-        tolerance = 16.0 * UNIT_ROUNDOFF * (
-            _magnitude(problem, space, omega, b) / h + omega * abs(slope)
-        )
-        assert abs(on_curve(omega)) <= tolerance
+        magnitude = _magnitude(problem, space, omega, b)
+        exact = d_omega(problem, space, omega, b)
+        assert abs(exact) <= 16.0 * UNIT_ROUNDOFF * (magnitude / omega + omega * abs(slope))
+
+        # Cross-check: each J(w +- h) a difference uses is off by a few ulps
+        # of its terms' magnitude, amplified by 1/h.
+        h = FD_STEP_REL * omega
+        richardson = (4.0 * central(0.5 * h) - central(h)) / 3.0
+        tolerance = 16.0 * UNIT_ROUNDOFF * (magnitude / h + omega * abs(slope))
+        assert abs(richardson - exact) <= tolerance
