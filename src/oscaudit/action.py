@@ -22,12 +22,14 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .fourier import TrigSeries
 from .models import OscillatorProblem, effective_omega0
 from .hpm import order1_forcing
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Solver policy. The zero-amplitude ray's grid and the bracket factors
 # cover the hardening cubic cases with ample margin; tolerances are
@@ -64,6 +66,8 @@ class TrialSpace:
     shapes: tuple
 
     def __post_init__(self):
+        if not self.shapes:
+            raise ValueError(f"trial space '{self.name}' has no shapes")
         cleaned = []
         for idx, shape in enumerate(self.shapes):
             entries = {}
@@ -92,7 +96,6 @@ class TrialSpace:
         object.__setattr__(self, "shapes", tuple(cleaned))
         object.__setattr__(self, "_exact", exact)
         object.__setattr__(self, "_mhat", mhat)
-        object.__setattr__(self, "_matrix", np.array(mhat, dtype=float).reshape(len(mhat), -1))
 
     @property
     def dimension(self):
@@ -145,31 +148,45 @@ class QuadraticForm:
     vector: np.ndarray
 
     def value(self, amplitudes) -> float:
+        import numpy as np
+
         b = np.asarray(amplitudes, dtype=float)
         return float(0.5 * b @ self.matrix @ b + self.vector @ b)
 
     def gradient(self, amplitudes) -> np.ndarray:
+        import numpy as np
+
         b = np.asarray(amplitudes, dtype=float)
         return self.matrix @ b + self.vector
+
+
+def _forcing_projections(problem: OscillatorProblem, space: TrialSpace, omega: float):
+    """g_i = integral_0^T forcing * phi_i dt on the series algebra, with the
+    order-1 forcing eps f(u0) + (w0^2 - w^2) u0."""
+    if not omega > 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    forcing = order1_forcing(problem, omega)
+    return [forcing.inner_product(phi) for phi in space.basis_series(omega)]
 
 
 def assemble(problem: OscillatorProblem, space: TrialSpace, omega: float) -> QuadraticForm:
     """Build M and g in closed form.
 
-    M = pi w Mh from the space's exact Mh, and g_i = integral_0^T forcing *
-    phi_i dt on the series algebra, with the order-1 forcing
-    eps f(u0) + (w0^2 - w^2) u0.
+    M = pi w Mh from the space's exact Mh, and g from
+    ``_forcing_projections``.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    forcing = order1_forcing(problem, omega)
-    vector = np.array([forcing.inner_product(phi) for phi in space.basis_series(omega)])
-    return QuadraticForm((math.pi * omega) * space._matrix, vector)
+    import numpy as np
+
+    vector = np.array(_forcing_projections(problem, space, omega))
+    mhat = np.array(space._mhat, dtype=float).reshape(space.dimension, -1)
+    return QuadraticForm((math.pi * omega) * mhat, vector)
 
 
 def solve_B(form: QuadraticForm) -> np.ndarray:
     """Unique stationary amplitudes at fixed w: solve M B = -g exactly from
     the form's doubles, rounding each component once."""
+    import numpy as np
+
     if not (np.all(np.isfinite(form.matrix)) and np.all(np.isfinite(form.vector))):
         raise SingularMatrixError("quadratic form has a non-finite entry")
     matrix = [[Fraction(v) for v in row] for row in form.matrix.tolist()]
@@ -246,7 +263,7 @@ class StationaryPoint:
     """Joint stationary point of J in (B, w)."""
 
     omega: float
-    amplitudes: np.ndarray
+    amplitudes: tuple
     action_value: float
     grad_norm: float
     branch: str
@@ -312,6 +329,22 @@ def _sign_change_candidates(grid, values):
     if n and values[-1] == 0.0 and (n < 2 or values[-2] != 0.0):
         zeros.append(n - 1)
     return brackets, zeros
+
+
+def _linspace(lo, hi, count):
+    """``count`` evenly spaced points from lo to hi: lo + k step, with the
+    last point set to hi, bit for bit as ``numpy.linspace`` unless the step
+    underflows to zero."""
+    step = (hi - lo) / (count - 1)
+    return [k * step + lo for k in range(count - 1)] + [hi]
+
+
+def max_abs(values) -> float:
+    """Largest |v| (0.0 for none); NaN if any v is NaN, as numpy's max."""
+    magnitudes = [abs(v) for v in values]
+    if any(math.isnan(m) for m in magnitudes):
+        return math.nan
+    return max(magnitudes, default=0.0)
 
 
 def _solve_exact(matrix, columns):
@@ -396,7 +429,7 @@ def _stationary_frequencies(problem: OscillatorProblem, space: TrialSpace, brack
             s = w * w
             amplitudes = [float((s * n1 - nq) / s) for n1, nq in zip(solved[0], n_q)]
             action = _times_pi((2 * s * b - g - s * s * alpha) / (2 * w * s))
-            points.append((omega, np.array(amplitudes), action))
+            points.append((omega, tuple(amplitudes), action))
     return points, linear
 
 
@@ -430,26 +463,25 @@ def solve_stationary(
 
     # Zero-amplitude ray: roots of each projection, kept only when every
     # component vanishes there jointly.
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    gmat = np.array([assemble(problem, space, w).vector for w in grid])
-    g_scale = max(1.0, float(np.max(np.abs(gmat))) if gmat.size else 0.0)
+    grid = _linspace(lo, hi, GRID_POINTS)
+    gmat = [_forcing_projections(problem, space, w) for w in grid]
+    g_scale = max(1.0, max_abs([g for row in gmat for g in row]))
     ray_roots = []
     for i in range(space.dimension):
-        column = [float(v) for v in gmat[:, i]]
+        column = [row[i] for row in gmat]
         if max(abs(v) for v in column) <= 1e-13 * g_scale:
             continue  # projection vanishes identically: no isolated roots
         col_brackets, col_zeros = _sign_change_candidates(grid, column)
         for k in col_brackets:
             root = _refine_sign_change(
-                lambda w, ii=i: float(assemble(problem, space, w).vector[ii]),
+                lambda w, ii=i: _forcing_projections(problem, space, w)[ii],
                 grid[k], grid[k + 1], column[k], column[k + 1], 4e-16,
             )
             ray_roots.append(root)
-        ray_roots.extend(float(grid[k]) for k in col_zeros)
+        ray_roots.extend(grid[k] for k in col_zeros)
     for root in ray_roots:
-        g_here = assemble(problem, space, root).vector
-        if float(np.max(np.abs(g_here))) <= JOINT_RAY_TOL * g_scale:
-            candidates.append((root, "ray", np.zeros(space.dimension), 0.0))
+        if max_abs(_forcing_projections(problem, space, root)) <= JOINT_RAY_TOL * g_scale:
+            candidates.append((root, "ray", (0.0,) * space.dimension, 0.0))
 
     points = []
     for omega_c, source, b, j in sorted(candidates, key=lambda c: c[:2]):
@@ -488,9 +520,7 @@ def solve_stationary(
 def _label_branches(problem, points, linear):
     """Tag the point nearest the linear branch's frequency, within 5%."""
     for point in points:
-        trivial = (
-            float(np.max(np.abs(point.amplitudes))) if point.amplitudes.size else 0.0
-        ) <= TRIVIALITY_SCALE * problem.amplitude
+        trivial = max_abs(point.amplitudes) <= TRIVIALITY_SCALE * problem.amplitude
         point.branch = "trivial-B" if trivial else "stationary"
     if points and linear is not None:
         nearest = min(points, key=lambda p: abs(p.omega - linear))

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .fourier import TrigSeries
 from .models import OscillatorProblem, Polynomial
 from .action import (
@@ -33,6 +31,7 @@ from .action import (
     TrialSpace,
     d_omega,
     double_shape_space,
+    max_abs,
     single_shape_space,
     solve_stationary,
 )
@@ -75,9 +74,11 @@ def classify_triviality(amplitudes, amplitude: float) -> bool:
     """True iff every trial amplitude is zero at the working scale."""
     if not amplitude > 0.0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
-    values = [abs(float(b)) for b in np.atleast_1d(amplitudes)]
-    top = max(values) if values else 0.0
-    return top <= TRIVIALITY_SCALE * amplitude
+    try:
+        values = [float(b) for b in amplitudes]
+    except TypeError:  # a scalar
+        values = [float(amplitudes)]
+    return max_abs(values) <= TRIVIALITY_SCALE * amplitude
 
 
 def resonance_frequency(problem: OscillatorProblem) -> float:
@@ -355,7 +356,7 @@ def full_audit(
             residuals["omega_rel_err_vs_closed_single"] = _rel(
                 selected.omega, omega_single
             )
-        residuals["b_abs_max"] = float(np.max(np.abs(selected.amplitudes)))
+        residuals["b_abs_max"] = max_abs(selected.amplitudes)
     if _matches(space, double_shape_space()) and omega_double is not None:
         residuals["omega_rel_err_vs_closed_double"] = _rel(selected.omega, omega_double)
         closed_b = two_shape_coefficients(problem.amplitude, rho_val, selected.omega)
@@ -372,7 +373,7 @@ def full_audit(
                 FINDING_TRIVIAL,
                 "all stationary trial amplitudes vanish: the first-order "
                 "correction is identically zero and corrects nothing",
-                {"max_abs_B": float(np.max(np.abs(selected.amplitudes)))},
+                {"max_abs_B": max_abs(selected.amplitudes)},
             )
         )
     bc_threshold = BC_SCALE * problem.amplitude

@@ -29,10 +29,12 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .models import OscillatorProblem, effective_omega0, total_potential
+
+if TYPE_CHECKING:
+    import numpy as np
 
 QUAD_START_NODES = 16
 QUAD_MAX_NODES = 1024
@@ -47,9 +49,14 @@ ODE_PERIOD_BUDGET = 100.0
 
 _CONTEXT = decimal.Context(prec=QUAD_DIGITS)
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
-# Newton on P_n converges quadratically with a constant below n^2 (at most
-# 1024^2 here): after a step this small the root is exact to QUAD_DIGITS.
-_POLISHED = Decimal(10) ** -(QUAD_DIGITS // 2 + 4)
+# Nodes and weights are polished with guard digits and rounded once to
+# QUAD_DIGITS, so the rule does not depend on the seeds. Newton on P_n
+# converges quadratically with a constant below n^2 (at most 1024^2 here):
+# after a step this small the root is exact to the polishing digits.
+_POLISH = decimal.Context(prec=QUAD_DIGITS + 10)
+_POLISHED = Decimal(10) ** -(_POLISH.prec // 2 + 4)
+# x = (j / 512)^2 at which the oscillation check samples D(A^2 x)
+_SAMPLES = tuple((j / 512) ** 2 for j in range(512))
 
 
 class NonOscillatoryError(ValueError):
@@ -86,26 +93,30 @@ def leggauss(n: int):
 
     Both are tuples of ``QUAD_DIGITS``-digit Decimals. Newton iteration on
     the recurrence in doubles, started from Tricomi's asymptotic estimate,
-    finds the non-negative roots; Newton steps in decimal (two, as a rule)
-    polish each one, and the Legendre equation carries P_n' to the polished
-    root for the weight 2 / ((1 - x^2) P_n'(x)^2). The double seeds only
-    pick the root, so the rule does not depend on the platform. Rules are
-    cached for the life of the process.
+    finds the non-negative roots; Newton steps in decimal with ten guard
+    digits (two, as a rule) polish each one, and the Legendre equation
+    carries P_n' to the polished root for the weight
+    2 / ((1 - x^2) P_n'(x)^2). Each node and weight is then rounded once to
+    ``QUAD_DIGITS``. The double seeds only pick the root, so the rule does
+    not depend on them or on the platform. Rules are cached for the life of
+    the process.
     """
-    k = np.arange(1, n // 2 + 1)
-    seeds = np.cos(np.pi * (k - 0.25) / (n + 0.5)) * (1.0 - (n - 1.0) / (8.0 * n**3))
-    for _ in range(10):
-        p_n, p_prev = _legendre(n, seeds)
-        step = p_n * (1.0 - seeds * seeds) / (n * (p_prev - seeds * p_n))
-        seeds = seeds - step
-        if np.max(np.abs(step), initial=0.0) <= 1e-15:
-            break
+    seeds = []
+    for k in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (k - 0.25) / (n + 0.5)) * (1.0 - (n - 1.0) / (8.0 * n**3))
+        for _ in range(10):
+            p_n, p_prev = _legendre(n, x)
+            step = p_n * (1.0 - x * x) / (n * (p_prev - x * p_n))
+            x -= step
+            if abs(step) <= 1e-15:
+                break
+        seeds.append(x)
     if n % 2:
-        seeds = np.append(seeds, 0.0)
+        seeds.append(0.0)
     roots = []  # (node, weight), largest node first
-    with decimal.localcontext(_CONTEXT):
+    with decimal.localcontext(_POLISH):
         for seed in seeds:
-            x = Decimal(float(seed))
+            x = Decimal(seed)
             for _ in range(8):
                 p_n, p_prev = _legendre(n, x)
                 one_minus_x2 = 1 - x * x
@@ -116,7 +127,8 @@ def leggauss(n: int):
                 if abs(step) < _POLISHED:
                     break
             slope -= curvature * step
-            roots.append((x, 2 / ((1 - x * x) * slope * slope)))
+            weight = 2 / ((1 - x * x) * slope * slope)
+            roots.append((_CONTEXT.plus(x), _CONTEXT.plus(weight)))
     half = n // 2
     negative = [(x.copy_negate(), w) for x, w in roots[:half]]
     rule = negative + roots[half:] + roots[:half][::-1]
@@ -159,19 +171,22 @@ def _depth_coefficients(problem: OscillatorProblem):
     return coefficients
 
 
-def _check_oscillatory(problem: OscillatorProblem, samples: int = 512):
+def _check_oscillatory(problem: OscillatorProblem):
     """V(A) must strictly dominate V(u) on [0, A): D(u^2) > 0 at samples.
 
-    D(A^2 x) is sampled at x in [0, 1) with coefficients scaled in decimal
-    by the largest, so no sample overflows. Returns the coefficients of D.
+    D(A^2 x) is sampled at the ``_SAMPLES`` x in [0, 1) with coefficients
+    scaled in decimal by the largest, so no sample overflows. Returns the
+    coefficients of D.
     """
     with decimal.localcontext(_CONTEXT):
         coefficients = _depth_coefficients(problem)
         scaled = [c * _amplitude_squared(problem) ** m for m, c in enumerate(coefficients)]
         largest = max(abs(c) for c in scaled) or 1
         scaled = [float(c / largest) for c in scaled]
-    depth = np.polynomial.polynomial.polyval((np.arange(samples) / samples) ** 2, scaled)
-    if not np.all(depth > 0.0):
+    depth = [scaled[-1]] * len(_SAMPLES)
+    for c in reversed(scaled[:-1]):  # Horner, one coefficient at a time
+        depth = [c + d * x for d, x in zip(depth, _SAMPLES)]
+    if not all(d > 0.0 for d in depth):
         raise NonOscillatoryError(
             "V(A) does not dominate V(u) on [0, A); the configuration "
             "does not oscillate with this amplitude"
@@ -333,6 +348,8 @@ def exact_period_ode(problem: OscillatorProblem) -> ExactResult:
 
 def trajectory(problem: OscillatorProblem, times) -> np.ndarray:
     """Displacement samples u(t) from the same integrator settings."""
+    import numpy as np
+
     times = np.asarray(times, dtype=float)
     solution = solve_ivp(
         _rhs(problem),

@@ -57,6 +57,10 @@ def test_classify_triviality():
     assert classify_triviality([0.0, 0.0], 1.0) is True
     assert classify_triviality([1e-12], 1.0) is True
     assert classify_triviality([1e-3, 0.0], 1.0) is False
+    assert classify_triviality(1e-12, 1.0) is True
+    # a NaN amplitude is never trivial, wherever it stands
+    assert classify_triviality([0.0, math.nan], 1.0) is False
+    assert classify_triviality([math.nan, 0.0], 1.0) is False
     with pytest.raises(ValueError):
         classify_triviality([0.0], 0.0)
 

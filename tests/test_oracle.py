@@ -1,3 +1,4 @@
+import decimal
 import math
 import subprocess
 import sys
@@ -175,20 +176,20 @@ def test_leggauss_matches_mpmath_legendre_roots(n):
     half = n // 2
     assert [x.copy_negate() for x in nodes[:half]] == list(nodes[half:][::-1])
     assert list(weights[:half]) == list(weights[half:][::-1])
-    with mpmath.workdps(REFERENCE_DIGITS + 10):
-        node_tol = mpmath.mpf(10) ** (1 - QUAD_DIGITS)
+    digits = REFERENCE_DIGITS + 10
+
+    def rounded(value):  # the correctly rounded QUAD_DIGITS-digit value
+        return decimal.Context(prec=QUAD_DIGITS).plus(decimal.Decimal(mpmath.nstr(value, digits)))
+
+    with mpmath.workdps(digits):
         for x, w in zip(nodes[half:], weights[half:]):
             root = mpmath.mpf(str(x))
-            for _ in range(2):  # Newton from the node onto the root of P_n
+            for _ in range(3):  # Newton from the node onto the root of P_n
                 p_n = mpmath.legendre(n, root)
                 slope = n * (mpmath.legendre(n - 1, root) - root * p_n) / (1 - root**2)
                 root -= p_n / slope
             weight = 2 / ((1 - root**2) * slope**2)
-            assert abs(mpmath.mpf(str(x)) - root) <= node_tol
-            # the recurrence rounds n times, and 1 - x^2 loses digits near
-            # the ends of [-1, 1]
-            weight_tol = n * mpmath.mpf(10) ** -QUAD_DIGITS / (1 - root**2)
-            assert abs(mpmath.mpf(str(w)) - weight) <= weight_tol * weight
+            assert (x, w) == (rounded(root), rounded(weight))
 
 
 def test_quadrature_rejects_separatrix_amplitude():
@@ -212,17 +213,26 @@ def test_quadrature_raises_when_the_frequency_overflows():
 
 
 def test_scipy_is_loaded_only_by_the_ode_route():
+    # numpy too: the CLI, an audit and a sweep run on floats, and only the
+    # ODE route (through scipy) loads it
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    print('scipy.integrate' in sys.modules, 'numpy' in sys.modules)\n"
         "import oscaudit.cli\n"
         "from oscaudit import duffing, exact_period_ode, full_audit, single_shape_space\n"
+        "loaded()\n"
         "full_audit(duffing(1.0, 1.0), single_shape_space())\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = oscaudit.cli.main(['sweep', '--eps-grid', '1', '--A-grid', '1'])\n"
+        "assert code == 0, code\n"
+        "loaded()\n"
         "exact_period_ode(duffing(1.0, 1.0))\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "loaded()\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stdout.split() == ["False"] * 6 + ["True", "True"]
