@@ -59,7 +59,6 @@ from .audit import (
     ClosedFormDomainError,
     Finding,
     NoStationaryPointError,
-    check_boundary,
     classify_triviality,
     combined_strength,
     full_audit,

@@ -104,13 +104,6 @@ class TrialSpace:
     def basis_series(self, omega: float) -> list[TrigSeries]:
         return [TrigSeries(omega, shape) for shape in self.shapes]
 
-    def correction(self, omega: float, amplitudes) -> TrigSeries:
-        """u1 = sum_i B_i phi_i at the given base frequency."""
-        total = TrigSeries.zero(omega)
-        for b, phi in zip(amplitudes, self.basis_series(omega)):
-            total = total + float(b) * phi
-        return total
-
 
 def single_shape_space() -> TrialSpace:
     """One-parameter trial shape cos(w t) - cos(5 w t)/3."""
@@ -202,40 +195,64 @@ def _times_pi(x) -> float:
         return float(_decimal(x) * _PI)
 
 
-def _projections(problem: OscillatorProblem, space: TrialSpace):
-    """Exact g1 and g0 of g(w) = (pi / w) (eps g0 + (w0^2 - w^2) g1)."""
+def _harmonics(problem: OscillatorProblem) -> dict:
+    """Exact cosine coefficients c_k of f(A cos theta)."""
     amplitude = Fraction(problem.amplitude)
     c = {}  # cos^p = 2^(1-p) sum_j C(p, j) cos((p - 2j) theta); f is odd, so c_0 = 0
     for p, coefficient in problem.nonlinearity.coefficients.items():
         scale = Fraction(coefficient) * amplitude**p / 2 ** (p - 1)
         for j in range((p + 1) // 2):
             c[p - 2 * j] = c.get(p - 2 * j, 0) + math.comb(p, j) * scale
-    g1 = [amplitude * s.get(1, 0) for s in space._exact]
-    g0 = [sum(a * c.get(k, 0) for k, a in s.items()) for s in space._exact]
-    return g1, g0
+    return c
 
 
-def _derivatives(problem: OscillatorProblem, space: TrialSpace, omega: float, amplitudes):
-    """dJ/dB, dJ/dw and the frozen window's extra term, each over pi, exactly
-    at the given doubles.
+class _Model:
+    """Exact rationals of one (problem, space): c_k of f(A cos theta), g1, g0,
+    q = eps g0 + w0^2 g1, and N g1, N g0 (N = Mh^-1; None when singular)."""
+
+    def __init__(self, problem: OscillatorProblem, space: TrialSpace):
+        self.problem, self.space, self.harmonics = problem, space, _harmonics(problem)
+        self.eps, self.w0_sq = Fraction(problem.epsilon), Fraction(problem.omega0_sq)
+        self.g1 = [Fraction(problem.amplitude) * s.get(1, 0) for s in space._exact]
+        self.g0 = [sum(a * self.harmonics.get(k, 0) for k, a in s.items()) for s in space._exact]
+        self.q = [self.eps * x + self.w0_sq * y for x, y in zip(self.g0, self.g1)]
+        self.n_g1, self.n_g0 = _solve_exact(space._mhat, (self.g1, self.g0)) or (None, None)
+
+
+def _derivatives(model: _Model, omega: float, amplitudes):
+    """dJ/dB, dJ/dw and the frozen window's extra term, each over pi, and
+    u1(0), exactly at the given doubles.
 
     dJ/dB = pi (w Mh B + (q - w^2 g1) / w) and dJ/dw = pi (B'Mh B / 2 -
     q'B / w^2 - g1'B). Freezing the window at T removes L(T) dT/dw, i.e.
     adds (2 pi / w^2) L(T); for cosine shapes L(T) = L(0) =
-    w^2 u1(0)^2 / 2 + (w0^2 - w^2) A u1(0) + eps f(A) u1(0).
+    w^2 u1(0)^2 / 2 + (w0^2 - w^2) A u1(0) + eps f(A) u1(0), with
+    u1(0) = sum_i B_i sum_k a_ik and f(A) = sum_k c_k.
     """
     w, b = Fraction(omega), [Fraction(float(x)) for x in amplitudes]
-    s, amplitude = w * w, Fraction(problem.amplitude)
-    eps, w0_sq = Fraction(problem.epsilon), Fraction(problem.omega0_sq)
-    g1, g0 = _projections(problem, space)
-    q = [eps * x + w0_sq * y for x, y in zip(g0, g1)]
-    mb = [sum(m * y for m, y in zip(row, b)) for row in space._mhat]
-    gradient = [w * x + (qi - s * gi) / w for x, qi, gi in zip(mb, q, g1)]
-    slope = sum(y * (x / 2 - qi / s - gi) for y, x, qi, gi in zip(b, mb, q, g1))
-    u1_0 = sum(y * sum(shape.values()) for y, shape in zip(b, space._exact))
-    f_a = sum(Fraction(c) * amplitude**p for p, c in problem.nonlinearity.coefficients.items())
-    boundary = (s * u1_0 / 2 + (w0_sq - s) * amplitude + eps * f_a) * u1_0
-    return gradient, slope, 2 * boundary / s
+    s, amplitude = w * w, Fraction(model.problem.amplitude)
+    mb = [sum(m * y for m, y in zip(row, b)) for row in model.space._mhat]
+    gradient = [w * x + (qi - s * gi) / w for x, qi, gi in zip(mb, model.q, model.g1)]
+    slope = sum(y * (x / 2 - qi / s - gi) for y, x, qi, gi in zip(b, mb, model.q, model.g1))
+    u1_0 = sum(y * sum(shape.values()) for y, shape in zip(b, model.space._exact))
+    f_a = sum(model.harmonics.values())
+    boundary = (s * u1_0 / 2 + (model.w0_sq - s) * amplitude + model.eps * f_a) * u1_0
+    return gradient, slope, 2 * boundary / s, u1_0
+
+
+def _point_values(problem: OscillatorProblem, space: TrialSpace, omega: float, amplitudes):
+    """(u1(0), dJ/dw, dJ/dw with the window frozen) at the doubles, each rounded once."""
+    _, slope, frozen, u1_0 = _derivatives(_Model(problem, space), omega, amplitudes)
+    return float(u1_0), _times_pi(slope), _times_pi(slope + frozen)
+
+
+def _balance_frequency(problem: OscillatorProblem) -> tuple:
+    """(w^2, w) at which the fundamental of the order-1 forcing cancels,
+    w^2 = w0^2 + eps c_1 / A, each rounded once; w is None unless w^2 > 0."""
+    square = (Fraction(problem.omega0_sq) + Fraction(problem.epsilon)
+              * _harmonics(problem).get(1, 0) / Fraction(problem.amplitude))
+    with decimal.localcontext(_CONTEXT):
+        return float(_decimal(square)), float(_decimal(square).sqrt()) if square > 0 else None
 
 
 def d_omega(
@@ -254,8 +271,8 @@ def d_omega(
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    _, slope, frozen = _derivatives(problem, space, omega, amplitudes)
-    return _times_pi(slope if include_period_term else slope + frozen)
+    _, with_period, frozen = _point_values(problem, space, omega, amplitudes)
+    return with_period if include_period_term else frozen
 
 
 @dataclass
@@ -377,7 +394,7 @@ def _decimal(x: Fraction) -> decimal.Decimal:
     return decimal.Decimal(x.numerator) / x.denominator
 
 
-def _stationary_frequencies(problem: OscillatorProblem, space: TrialSpace, bracket):
+def _stationary_frequencies(model: _Model, bracket):
     """The stationary points at B = -M^-1 g inside the bracket, as (w, B, J),
     and the frequency continued from the linear limit (None if that branch
     dies before eps).
@@ -389,14 +406,13 @@ def _stationary_frequencies(problem: OscillatorProblem, space: TrialSpace, brack
     rounded w, B = -(N q - s N g1) / s and J = g'B / 2 =
     -pi (gamma - 2 s beta + s^2 alpha) / (2 w s), each rounded once.
     """
-    g1, g0 = _projections(problem, space)
-    solved = _solve_exact(space._mhat, (g1, g0))
-    if solved is None:
+    g1, g0, n_g1, n_g0 = model.g1, model.g0, model.n_g1, model.n_g0
+    if n_g1 is None:
         return [], None
     alpha, cross, square = (sum(x * y for x, y in zip(u, v))
-                            for u, v in ((g1, solved[0]), (g0, solved[0]), (g0, solved[1])))
+                            for u, v in ((g1, n_g1), (g0, n_g1), (g0, n_g0)))
     # beta, gamma and D = beta^2 + 3 alpha gamma as polynomials in the strength
-    w0_sq, eps = Fraction(problem.omega0_sq), Fraction(problem.epsilon)
+    w0_sq, eps = model.w0_sq, model.eps
     beta = (w0_sq * alpha, cross)
     gamma = (w0_sq**2 * alpha, 2 * w0_sq * cross, square)
     square_of_beta = (beta[0] ** 2, 2 * beta[0] * beta[1], beta[1] ** 2)
@@ -422,12 +438,12 @@ def _stationary_frequencies(problem: OscillatorProblem, space: TrialSpace, brack
                 linear = float(squares[0 if (alpha > 0) != (b >= 0) else 1].sqrt())
         frequencies = [float(s.sqrt()) for s in squares if s > 0]
     points = []
-    n_q = [eps * n0 + w0_sq * n1 for n1, n0 in zip(*solved)]
+    n_q = [eps * n0 + w0_sq * n1 for n1, n0 in zip(n_g1, n_g0)]
     for omega in frequencies:
         if bracket[0] <= omega <= bracket[1]:
             w = Fraction(omega)
             s = w * w
-            amplitudes = [float((s * n1 - nq) / s) for n1, nq in zip(solved[0], n_q)]
+            amplitudes = [float((s * n1 - nq) / s) for n1, nq in zip(n_g1, n_q)]
             action = _times_pi((2 * s * b - g - s * s * alpha) / (2 * w * s))
             points.append((omega, tuple(amplitudes), action))
     return points, linear
@@ -458,7 +474,8 @@ def solve_stationary(
     if not (0.0 < lo < hi):
         raise BracketError(f"bracket must satisfy 0 < low < high, got ({lo}, {hi})")
 
-    roots, linear = _stationary_frequencies(problem, space, (lo, hi))
+    model = _Model(problem, space)
+    roots, linear = _stationary_frequencies(model, (lo, hi))
     candidates = [(w, "quadratic", b, j) for w, b, j in roots]
 
     # Zero-amplitude ray: roots of each projection, kept only when every
@@ -485,7 +502,7 @@ def solve_stationary(
 
     points = []
     for omega_c, source, b, j in sorted(candidates, key=lambda c: c[:2]):
-        gradient, slope, _ = _derivatives(problem, space, omega_c, b)
+        gradient, slope, _, _ = _derivatives(model, omega_c, b)
         points.append(
             (
                 StationaryPoint(

@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .fourier import TrigSeries
 from .models import OscillatorProblem, Polynomial
 from .action import (
     TRIVIALITY_SCALE,
     StationaryPoint,
     TrialSpace,
-    d_omega,
+    _balance_frequency,
+    _point_values,
     double_shape_space,
     max_abs,
     single_shape_space,
@@ -65,11 +65,6 @@ class NonFiniteValueError(ArithmeticError):
     """A report value overflowed or is undefined (inf or NaN)."""
 
 
-def check_boundary(u1: TrigSeries) -> tuple[float, float]:
-    """(u1(0), u1'(0)); both must vanish for an admissible correction."""
-    return u1.evaluate(0.0), u1.differentiate().evaluate(0.0)
-
-
 def classify_triviality(amplitudes, amplitude: float) -> bool:
     """True iff every trial amplitude is zero at the working scale."""
     if not amplitude > 0.0:
@@ -87,16 +82,14 @@ def resonance_frequency(problem: OscillatorProblem) -> float:
     The fundamental cosine coefficient of f(A cos) does not depend on the
     base frequency, so the balance condition is algebraic:
     w^2 = w0^2 + eps c1(A) / A. For the cubic oscillator this reduces to
-    sqrt(w0^2 + 3 eps A^2 / 4).
+    sqrt(w0^2 + 3 eps A^2 / 4). It is formed exactly and rounded once.
     """
-    probe = TrigSeries.cosine(1.0, 1, problem.amplitude)
-    c1 = problem.nonlinearity.of_series(probe).cos_coeff(1)
-    radicand = problem.omega0_sq + problem.epsilon * c1 / problem.amplitude
-    if radicand <= 0.0:
+    radicand, omega = _balance_frequency(problem)
+    if omega is None:
         raise ClosedFormDomainError(
             f"resonance-balance radicand is not positive ({radicand})"
         )
-    return math.sqrt(radicand)
+    return omega
 
 
 def two_shape_frequency(rho: float) -> float:
@@ -303,8 +296,7 @@ def full_audit(
         (p for p in points if p.branch == "continued-from-linear"), points[0]
     )
 
-    u1 = space.correction(selected.omega, selected.amplitudes)
-    bc_u1, bc_du1 = check_boundary(u1)
+    bc_u1, slope, frozen = _point_values(problem, space, selected.omega, selected.amplitudes)
     trivial = classify_triviality(selected.amplitudes, problem.amplitude)
     amplitude_mismatch = bc_u1  # u_app(0) - A == u1(0), identically
     rho_val = combined_strength(problem) if rho is None else float(rho)
@@ -435,7 +427,7 @@ def full_audit(
         points=points,
         selected=selected,
         bc_u1_at_0=bc_u1,
-        bc_du1_at_0=bc_du1,
+        bc_du1_at_0=0.0,  # cosine shapes have u1'(0) = 0 by construction
         trivial=trivial,
         triviality_threshold=TRIVIALITY_SCALE * problem.amplitude,
         amplitude_mismatch=amplitude_mismatch,
@@ -443,14 +435,6 @@ def full_audit(
         freq_table=freq_table,
         closed_form_residuals=residuals,
         findings=findings,
-        domega_with_period_term=d_omega(
-            problem, space, selected.omega, selected.amplitudes
-        ),
-        domega_frozen_period=d_omega(
-            problem,
-            space,
-            selected.omega,
-            selected.amplitudes,
-            include_period_term=False,
-        ),
+        domega_with_period_term=slope,
+        domega_frozen_period=frozen,
     )

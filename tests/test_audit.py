@@ -1,17 +1,17 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oscaudit.fourier import TrigSeries
+from oscaudit import action
 from oscaudit.models import OscillatorProblem, Polynomial, duffing
 from oscaudit.hpm import order1_forcing
 from oscaudit.action import TrialSpace, double_shape_space, single_shape_space
 from oscaudit.audit import (
     ClosedFormDomainError,
-    check_boundary,
     classify_triviality,
     combined_strength,
     full_audit,
@@ -24,33 +24,62 @@ from oscaudit.audit import (
 TWO_SHAPE_OMEGA_RHO1 = 1.3114948107911968
 
 
+THREE_SHAPES = TrialSpace(
+    "three",
+    ({1: 1.0, 3: -0.2}, {3: 0.2, 5: -1.0 / 7.0}, {5: 1.0 / 7.0, 7: -1.0 / 9.0}),
+)
+
+
 def closed_form_u1_at_0(amplitude, rho, omega):
     return -amplitude * (68.0 * omega**2 - 49.0 * rho - 68.0) / (16.0 * omega**2)
 
 
-def test_check_boundary_single_shape():
-    b = 0.9
-    u1 = TrigSeries(1.2, {1: b, 5: -b / 3.0})
-    at0, slope0 = check_boundary(u1)
-    assert at0 == pytest.approx(2.0 * b / 3.0, rel=1e-15)
-    assert slope0 == 0.0
-
-
-def test_check_boundary_zero_series():
-    assert check_boundary(TrigSeries.zero(1.0)) == (0.0, 0.0)
-
-
-def test_check_boundary_double_shape_closed_coefficients():
+def test_audit_u1_at_0_matches_double_shape_closed_form():
+    # the paper's closed form for u1(0), at the audited frequency
     rng = np.random.default_rng(17)
-    space = double_shape_space()
     for _ in range(8):
         amplitude = rng.uniform(0.5, 2.0)
         rho = rng.uniform(0.0, 5.0)
-        omega = rng.uniform(0.6, 2.5)
-        b1, b3 = two_shape_coefficients(amplitude, rho, omega)
-        u1 = space.correction(omega, [b1, b3])
-        expected = closed_form_u1_at_0(amplitude, rho, omega)
-        assert check_boundary(u1)[0] == pytest.approx(expected, rel=1e-12)
+        report = full_audit(duffing(amplitude, rho / amplitude**2), double_shape_space())
+        expected = closed_form_u1_at_0(amplitude, report.rho, report.selected.omega)
+        assert report.bc_u1_at_0 == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("space", [double_shape_space(), THREE_SHAPES], ids=["al-double", "three"])
+def test_full_audit_u1_at_0_is_the_exact_sum_rounded_once(space):
+    rng = np.random.default_rng(5)
+    cases = [(1.0, 1.0), (3.0, 0.7)] + [
+        (rng.uniform(-0.5, 10.0), rng.uniform(0.2, 3.0)) for _ in range(10)
+    ]
+    for eps, amplitude in cases:
+        report = full_audit(duffing(amplitude, eps), space)
+        exact = sum(
+            Fraction(b) * sum(Fraction(a) for a in shape.values())
+            for b, shape in zip(report.selected.amplitudes, space.shapes)
+        )
+        assert report.bc_u1_at_0 == float(exact), (eps, amplitude)
+        assert report.bc_du1_at_0 == 0.0
+        assert report.amplitude_mismatch == report.bc_u1_at_0
+
+
+def test_full_audit_runs_the_series_algebra_only_on_the_ray(monkeypatch):
+    calls = {"of_series": 0, "order1_forcing": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Polynomial, "of_series", counting("of_series", Polynomial.of_series))
+    monkeypatch.setattr(
+        action, "order1_forcing", counting("order1_forcing", action.order1_forcing)
+    )
+    for space in (single_shape_space(), double_shape_space(), THREE_SHAPES):
+        full_audit(duffing(1.0, 1.0), space)
+    assert calls["order1_forcing"] > 0
+    assert calls["of_series"] == calls["order1_forcing"]
 
 
 def test_classify_triviality():
@@ -76,6 +105,42 @@ def test_resonance_frequency_examples():
 def test_resonance_frequency_domain_error():
     with pytest.raises(ClosedFormDomainError):
         resonance_frequency(duffing(1.0, -2.0))
+
+
+def _reference_resonance(mpmath, problem):
+    """sqrt(w0^2 + eps c_1 / A) in 50 digits, with c_1 the fundamental of
+    f(A cos theta): C(p, (p - 1) / 2) A^p / 2^(p - 1) per power p."""
+    with mpmath.workdps(50):
+        amplitude = mpmath.mpf(problem.amplitude)
+        c_1 = sum(
+            mpmath.mpf(c) * math.comb(p, (p - 1) // 2) * amplitude**p / 2 ** (p - 1)
+            for p, c in problem.nonlinearity.coefficients.items()
+        )
+        return mpmath.mpf(problem.omega0_sq) + mpmath.mpf(problem.epsilon) * c_1 / amplitude
+
+
+def test_resonance_frequency_is_correctly_rounded():
+    mpmath = pytest.importorskip("mpmath")
+    assert resonance_frequency(duffing(2.5941277805319243, 0.3814284842584953)) == (
+        1.7102973238217085
+    )
+    rng = np.random.default_rng(29)
+    for f in (Polynomial({3: 1.0}), Polynomial({3: 1.0, 5: 0.2})):
+        for _ in range(100):
+            problem = OscillatorProblem(
+                float(rng.choice([0.7, 1.0, 2.3])),
+                rng.uniform(-1.0, 5.0),
+                f,
+                rng.uniform(0.1, 3.0),
+            )
+            square = _reference_resonance(mpmath, problem)
+            if square <= 0:
+                with pytest.raises(ClosedFormDomainError):
+                    resonance_frequency(problem)
+            else:
+                with mpmath.workdps(50):
+                    expected = float(mpmath.sqrt(square))
+                assert resonance_frequency(problem) == expected, problem
 
 
 def test_resonance_frequency_equals_forcing_root():

@@ -202,6 +202,7 @@ def test_sweep_golden_default_run(tmp_path):
         numeric = list(range(9)) + [10]
         for idx in numeric:
             assert float(got_fields[idx]) == float(want_fields[idx])
+    assert out.read_bytes() == GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize(
