@@ -13,9 +13,11 @@ can be taken seriously:
 Known closed forms for the preset trial spaces are cross-checked against
 the solver: the resonance-balance frequency for the single-shape space and
 the radical frequency plus amplitude formulas for the two-shape space. The
-combined-strength parameter of those two-shape formulas is interpreted as
-eps * A^2; the interpretation is exposed (and overridable) rather than
-hard-coded into callers.
+resonance balance is checked only where it applies: the single shape
+cos - cos5/3 also meets the fifth harmonic c_5 of f(A cos theta), so the
+check needs c_5 = 0. The two-shape formulas are checked only on the
+standard cubic, where their combined strength is eps * A^2; the report
+carries it as ``rho``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .action import (
     StationaryPoint,
     TrialSpace,
     _balance_frequency,
+    _harmonics,
     _point_values,
     double_shape_space,
     max_abs,
@@ -280,7 +283,6 @@ def full_audit(
     problem: OscillatorProblem,
     space: TrialSpace,
     bracket: tuple[float, float] | None = None,
-    rho: float | None = None,
 ) -> AuditReport:
     """Run the solver, the oracle and the closed forms; report every check.
 
@@ -299,7 +301,7 @@ def full_audit(
     bc_u1, slope, frozen = _point_values(problem, space, selected.omega, selected.amplitudes)
     trivial = classify_triviality(selected.amplitudes, problem.amplitude)
     amplitude_mismatch = bc_u1  # u_app(0) - A == u1(0), identically
-    rho_val = combined_strength(problem) if rho is None else float(rho)
+    rho = combined_strength(problem)
 
     exact: ExactResult | None = None
     exact_note = ""
@@ -319,7 +321,7 @@ def full_audit(
     double_note = ""
     if _is_standard_cubic(problem):
         try:
-            omega_double = two_shape_frequency(rho_val)
+            omega_double = two_shape_frequency(rho)
         except ClosedFormDomainError as err:
             double_note = f"unavailable: {err}"
     else:
@@ -344,14 +346,15 @@ def full_audit(
 
     residuals: dict[str, float] = {}
     if _matches(space, single_shape_space()):
-        if omega_single is not None:
+        # cos - cos5/3 also meets c_5: the resonance balance is its closed form only where c_5 = 0
+        if omega_single is not None and not _harmonics(problem).get(5, 0):
             residuals["omega_rel_err_vs_closed_single"] = _rel(
                 selected.omega, omega_single
             )
         residuals["b_abs_max"] = max_abs(selected.amplitudes)
     if _matches(space, double_shape_space()) and omega_double is not None:
         residuals["omega_rel_err_vs_closed_double"] = _rel(selected.omega, omega_double)
-        closed_b = two_shape_coefficients(problem.amplitude, rho_val, selected.omega)
+        closed_b = two_shape_coefficients(problem.amplitude, rho, selected.omega)
         deviation = max(
             abs(float(b) - cb) / max(abs(cb), TRIVIALITY_SCALE * problem.amplitude)
             for b, cb in zip(selected.amplitudes, closed_b)
@@ -431,7 +434,7 @@ def full_audit(
         trivial=trivial,
         triviality_threshold=TRIVIALITY_SCALE * problem.amplitude,
         amplitude_mismatch=amplitude_mismatch,
-        rho=rho_val,
+        rho=rho,
         freq_table=freq_table,
         closed_form_residuals=residuals,
         findings=findings,

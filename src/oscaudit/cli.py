@@ -89,7 +89,6 @@ class RunConfig:
     problem: OscillatorProblem
     space: TrialSpace
     bracket: tuple[float, float] | None
-    rho: float | None
     render: Callable  # the verb's renderer for the chosen format, from RENDERERS
     out: str | None
     fail_on_findings: bool
@@ -240,7 +239,6 @@ def _build_run_config(args) -> RunConfig:
         problem=problem,
         space=space,
         bracket=setting(args.bracket, "solver", "bracket", _parse_bracket),
-        rho=setting(args.rho, "audit", "rho", partial(_parse_float, label="rho")),
         render=render,
         out=setting(args.out, "output", "path"),
         fail_on_findings=bool(args.fail_on_findings),
@@ -408,7 +406,7 @@ def cmd_analyze(run: RunConfig) -> int:
 
 
 def cmd_audit(run: RunConfig) -> int:
-    report = full_audit(run.problem, run.space, bracket=run.bracket, rho=run.rho)
+    report = full_audit(run.problem, run.space, bracket=run.bracket)
     _emit(run.render(report.to_dict()), run.out)
     if run.fail_on_findings and report.findings:
         return 4
@@ -417,7 +415,7 @@ def cmd_audit(run: RunConfig) -> int:
 
 def cmd_sweep(run: RunConfig) -> int:
     cells = [
-        full_audit(problem, run.space, bracket=run.bracket, rho=run.rho).to_dict()
+        full_audit(problem, run.space, bracket=run.bracket).to_dict()
         for problem in run.cells
     ]
     _emit(run.render(cells), run.out)
@@ -480,7 +478,6 @@ def _make_parser():
         p.add_argument("--format", default=None, help="json | csv | md")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--bracket", default=None, help="frequency bracket LO:HI")
-        p.add_argument("--rho", default=None, help="override the combined strength")
         p.add_argument("--fail-on-findings", action="store_true")
         p.add_argument("--eps-grid", dest="eps_grid", default=None)
         p.add_argument("--A-grid", dest="a_grid", default=None)

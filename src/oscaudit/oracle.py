@@ -17,9 +17,10 @@ frequencies are judged:
   the frequency 2 pi / T is rounded to a double once, at the end.  No
   LAPACK, BLAS or libm result reaches the returned bits, so the frequency
   is correctly rounded and the same on every platform;
-* time integration: an adaptive high-order Runge-Kutta scheme run from
-  (u, u') = (A, 0) until the first zero crossing of u, which for odd f is
-  a quarter period by symmetry.
+* time integration: one run of an adaptive high-order Runge-Kutta scheme
+  in x = u / A, from (x, x') = (1, 0) until the first zero crossing, which
+  for odd f is a quarter period by symmetry. Its error estimate is the
+  relative energy drift at that crossing.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import TYPE_CHECKING
 
-from .models import OscillatorProblem, effective_omega0, total_potential
+from .models import OscillatorProblem, Polynomial, effective_omega0, total_potential
 
 if TYPE_CHECKING:
     import numpy as np
@@ -272,34 +273,57 @@ def solve_ivp(fun, t_span, y0, **options):
     return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
-def _time_scale(problem: OscillatorProblem) -> float:
-    w_eff = effective_omega0(problem)
+def _unit_amplitude(problem: OscillatorProblem) -> OscillatorProblem:
+    """The problem in x = u / A: amplitude 1 and f(A x) / A, the same period.
+
+    f(A x) / A has the coefficients c_p A^(p - 1), so the integrator's
+    absolute tolerance scales with the amplitude. Raises ``OverflowError``
+    naming A when one of them is not a double.
+    """
+    amplitude = problem.amplitude
+    scaled = {}
+    for p, c in problem.nonlinearity.coefficients.items():
+        try:
+            scaled[p] = c * amplitude ** (p - 1)
+        except OverflowError:
+            scaled[p] = math.inf
+        if math.isinf(scaled[p]):
+            raise OverflowError(f"c_{p} A^{p - 1} overflows a double (A = {amplitude})")
+    return replace(problem, nonlinearity=Polynomial(scaled), amplitude=1.0)
+
+
+def _time_scale(unit: OscillatorProblem) -> float:
+    w_eff = effective_omega0(unit)
     if w_eff > 0.0:
         return w_eff
     # No usable linearised frequency (for example a pure quintic well):
     # fall back to the energy scale of the well itself.
-    depth = total_potential(problem)(problem.amplitude)
+    depth = total_potential(unit)(1.0)
     if depth <= 0.0:
         raise NonOscillatoryError("potential well has no positive depth at A")
-    return math.sqrt(2.0 * depth) / problem.amplitude
+    return math.sqrt(2.0 * depth)
 
 
-def _rhs(problem: OscillatorProblem):
+def _integrate(unit: OscillatorProblem, t_end: float, **options):
+    """DOP853 at ``ODE_TOL`` from (x, x') = (1, 0) over [0, t_end]."""
+
     def rhs(_t, y):
-        return (y[1], problem.acceleration(y[0]))
+        return (y[1], unit.acceleration(y[0]))
 
-    return rhs
+    return solve_ivp(
+        rhs, (0.0, t_end), [1.0, 0.0], method="DOP853", rtol=ODE_TOL, atol=ODE_TOL, **options
+    )
 
 
 def exact_period_ode(problem: OscillatorProblem) -> ExactResult:
-    """Event-detected quarter period from adaptive time integration.
+    """Event-detected quarter period from one adaptive time integration.
 
-    The reported error estimate is the relative energy drift over one full
-    period, re-integrated at the same tolerances.
+    The problem is integrated in x = u / A (``_unit_amplitude``), so the
+    tolerances are relative to the amplitude. ``est_error`` is that run's
+    relative energy drift at the zero crossing it located.
     """
     _check_oscillatory(problem)
-    amplitude = problem.amplitude
-    t_max = ODE_PERIOD_BUDGET * 2.0 * math.pi / _time_scale(problem)
+    unit = _unit_amplitude(problem)
 
     def crossing(_t, y):
         return y[0]
@@ -307,57 +331,28 @@ def exact_period_ode(problem: OscillatorProblem) -> ExactResult:
     crossing.terminal = True
     crossing.direction = -1.0
 
-    solution = solve_ivp(
-        _rhs(problem),
-        (0.0, t_max),
-        [amplitude, 0.0],
-        method="DOP853",
-        rtol=ODE_TOL,
-        atol=ODE_TOL,
-        events=crossing,
-    )
+    t_max = ODE_PERIOD_BUDGET * 2.0 * math.pi / _time_scale(unit)
+    solution = _integrate(unit, t_max, events=crossing)
     if not solution.t_events[0].size:
         raise DivergenceError(
             f"no zero crossing of u within {ODE_PERIOD_BUDGET} linearised periods"
         )
     period = 4.0 * float(solution.t_events[0][0])
-
-    potential_poly = total_potential(problem)
-
-    def energy(u, v):
-        return 0.5 * v * v + potential_poly(u)
-
-    full = solve_ivp(
-        _rhs(problem),
-        (0.0, period),
-        [amplitude, 0.0],
-        method="DOP853",
-        rtol=ODE_TOL,
-        atol=ODE_TOL,
-    )
-    e0 = energy(amplitude, 0.0)
-    e1 = energy(full.y[0, -1], full.y[1, -1])
-    drift = abs(e1 - e0) / abs(e0)
+    x, v = (float(y) for y in solution.y_events[0][0])
+    potential = total_potential(unit)
+    start = potential(1.0)
     return ExactResult(
         period=period,
         frequency=2.0 * math.pi / period,
         method="ode-event",
-        est_error=drift,
+        est_error=abs(0.5 * v * v + potential(x) - start) / start,
     )
 
 
 def trajectory(problem: OscillatorProblem, times) -> np.ndarray:
-    """Displacement samples u(t) from the same integrator settings."""
+    """Displacement samples u(t): A times the unit-amplitude integration."""
     import numpy as np
 
     times = np.asarray(times, dtype=float)
-    solution = solve_ivp(
-        _rhs(problem),
-        (0.0, float(times[-1])),
-        [problem.amplitude, 0.0],
-        method="DOP853",
-        rtol=ODE_TOL,
-        atol=ODE_TOL,
-        t_eval=times,
-    )
-    return solution.y[0]
+    solution = _integrate(_unit_amplitude(problem), float(times[-1]), t_eval=times)
+    return problem.amplitude * solution.y[0]

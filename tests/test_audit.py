@@ -277,13 +277,6 @@ def test_full_audit_closed_form_residuals():
     assert double.closed_form_residuals["b_rel_err_vs_closed_double"] <= 1e-8
 
 
-def test_full_audit_rho_override_is_visible():
-    report = full_audit(duffing(1.0, 1.0), double_shape_space(), rho=2.0)
-    assert report.rho == 2.0
-    table = {row.source: row for row in report.freq_table}
-    assert table["closed_form_double"].omega == pytest.approx(two_shape_frequency(2.0))
-
-
 def test_full_audit_deterministic_reports():
     first = full_audit(duffing(1.0, 1.0), double_shape_space())
     second = full_audit(duffing(1.0, 1.0), double_shape_space())

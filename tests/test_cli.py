@@ -14,7 +14,7 @@ GOLDEN = Path(__file__).parent / "data" / "sweep_duffing_default.csv"
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "oscaudit", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "oscaudit", *args],
         capture_output=True,
         text=True,
     )
@@ -80,7 +80,6 @@ def test_custom_space_requires_shapes():
         (("--A", "inf"), "amplitude"),
         (("--poly", "3:nan"), "poly coefficient of power 3"),
         (("--space", "custom", "--shape", "1:1,5:nan"), "shape harmonic 5"),
-        (("--rho", "inf"), "rho"),
         (("--bracket", "0.5:nan"), "bracket high"),
     ],
 )
@@ -412,6 +411,27 @@ def test_exact_non_oscillatory_is_domain_error():
     result = run_cli("exact", "--preset", "duffing", "--A", "1", "--eps", "-2")
     assert result.returncode == 3
     assert "domain error" in result.stderr
+
+
+def test_exact_verb_at_a_tiny_amplitude():
+    # the ODE route integrates x = u / A: its tolerances scale with A, and
+    # neither V(A) nor the energy drift underflows
+    result = run_cli("exact", "--preset", "duffing", "--A", "1e-200", "--eps", "1")
+    assert result.returncode == 0, result.stderr
+    assert "Warning" not in result.stderr
+    quad, ode = (entry["period"] for entry in json.loads(result.stdout)["results"])
+    assert abs(ode - quad) <= 1e-8 * quad
+
+
+def test_single_shape_closed_form_is_checked_only_without_a_fifth_harmonic():
+    # cos - cos5/3 also meets c_5 of f(A cos theta), so the resonance balance
+    # is its closed form only where c_5 = 0
+    common = ("audit", "--eps", "0.7", "--A", "1.3", "--omega0sq", "2.3")
+    quintic = json.loads(run_cli(*common, "--poly", "3:1,5:0.2").stdout)["audit"]
+    assert "omega_rel_err_vs_closed_single" not in quintic["closed_form_residuals"]
+    assert "CLOSED_FORM_MISMATCH" not in [f["code"] for f in quintic["findings"]]
+    cubic = json.loads(run_cli(*common, "--poly", "3:1").stdout)["audit"]
+    assert cubic["closed_form_residuals"]["omega_rel_err_vs_closed_single"] <= 1e-10
 
 
 def test_config_file_with_flag_override(tmp_path):

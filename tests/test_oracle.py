@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
+from oscaudit import oracle
 from oscaudit.models import OscillatorProblem, Polynomial, duffing
 from oscaudit.oracle import (
     QUAD_DIGITS,
@@ -74,15 +75,19 @@ def test_ode_harmonic_oscillator():
     assert result.method == "ode-event"
 
 
+# the route integrates x = u / A, so its tolerances scale with A
+TINY_AMPLITUDES = ((1.0, 1e-6), (1.0, 1e-10), (1.0, 1e-13), (1.0, 1e-200))
+
+
 def test_ode_agrees_with_quadrature():
-    for eps, amplitude in ((0.1, 1.0), (1.0, 1.0), (10.0, 2.0)):
+    for eps, amplitude in ((0.1, 1.0), (1.0, 1.0), (10.0, 2.0)) + TINY_AMPLITUDES:
         quad = exact_period_quadrature(duffing(amplitude, eps))
         ode = exact_period_ode(duffing(amplitude, eps))
         assert abs(quad.period - ode.period) <= 1e-8 * quad.period
 
 
 def test_ode_energy_drift_bounded():
-    for eps, amplitude in ((1.0, 1.0), (10.0, 2.0)):
+    for eps, amplitude in ((1.0, 1.0), (10.0, 2.0)) + TINY_AMPLITUDES:
         result = exact_period_ode(duffing(amplitude, eps))
         assert result.est_error <= 1e-8
 
@@ -90,6 +95,31 @@ def test_ode_energy_drift_bounded():
 def test_quarter_period_symmetry():
     problem = duffing(1.0, 1.0)
     period = exact_period_ode(problem).period
+    u_half = trajectory(problem, [period / 2.0])[0]
+    assert abs(u_half + problem.amplitude) <= 1e-8 * problem.amplitude
+
+
+def test_ode_integrates_once(monkeypatch):
+    calls, original = [], oracle.solve_ivp
+
+    def counting(*args, **options):
+        calls.append(options)
+        return original(*args, **options)
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting)
+    exact_period_ode(duffing(1.0, 1.0))
+    assert len(calls) == 1
+
+
+def test_error_estimates_are_floats():
+    problem = duffing(1.3, 0.5)
+    assert type(exact_period_quadrature(problem).est_error) is float
+    assert type(exact_period_ode(problem).est_error) is float
+
+
+def test_quarter_period_symmetry_at_a_tiny_amplitude():
+    problem = duffing(1e-13, 1.0)
+    period = exact_period_quadrature(problem).period
     u_half = trajectory(problem, [period / 2.0])[0]
     assert abs(u_half + problem.amplitude) <= 1e-8 * problem.amplitude
 
