@@ -105,17 +105,19 @@ class TrialSpace:
         return [TrigSeries(omega, shape) for shape in self.shapes]
 
 
+# A space is a preset exactly when its cleaned ``shapes`` equal these.
+SINGLE_SHAPES = ({1: 1.0, 5: -1.0 / 3.0},)
+DOUBLE_SHAPES = ({1: 1.0, 3: -1.0 / 5.0}, {3: 1.0 / 5.0, 5: -1.0 / 7.0})
+
+
 def single_shape_space() -> TrialSpace:
     """One-parameter trial shape cos(w t) - cos(5 w t)/3."""
-    return TrialSpace("al-single", ({1: 1.0, 5: -1.0 / 3.0},))
+    return TrialSpace("al-single", SINGLE_SHAPES)
 
 
 def double_shape_space() -> TrialSpace:
     """Two-parameter trial shapes [cos - cos3/5, cos3/5 - cos5/7]."""
-    return TrialSpace(
-        "al-double",
-        ({1: 1.0, 3: -1.0 / 5.0}, {3: 1.0 / 5.0, 5: -1.0 / 7.0}),
-    )
+    return TrialSpace("al-double", DOUBLE_SHAPES)
 
 
 SPACE_PRESETS = {
@@ -240,17 +242,11 @@ def _derivatives(model: _Model, omega: float, amplitudes):
     return gradient, slope, 2 * boundary / s, u1_0
 
 
-def _point_values(problem: OscillatorProblem, space: TrialSpace, omega: float, amplitudes):
-    """(u1(0), dJ/dw, dJ/dw with the window frozen) at the doubles, each rounded once."""
-    _, slope, frozen, u1_0 = _derivatives(_Model(problem, space), omega, amplitudes)
-    return float(u1_0), _times_pi(slope), _times_pi(slope + frozen)
-
-
-def _balance_frequency(problem: OscillatorProblem) -> tuple:
+def _balance_frequency(problem: OscillatorProblem, harmonics: dict) -> tuple:
     """(w^2, w) at which the fundamental of the order-1 forcing cancels,
-    w^2 = w0^2 + eps c_1 / A, each rounded once; w is None unless w^2 > 0."""
+    w^2 = w0^2 + eps c_1 / A for the exact c_k, each rounded once; w is None unless w^2 > 0."""
     square = (Fraction(problem.omega0_sq) + Fraction(problem.epsilon)
-              * _harmonics(problem).get(1, 0) / Fraction(problem.amplitude))
+              * harmonics.get(1, 0) / Fraction(problem.amplitude))
     with decimal.localcontext(_CONTEXT):
         return float(_decimal(square)), float(_decimal(square).sqrt()) if square > 0 else None
 
@@ -271,8 +267,8 @@ def d_omega(
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    _, with_period, frozen = _point_values(problem, space, omega, amplitudes)
-    return with_period if include_period_term else frozen
+    _, slope, frozen, _ = _derivatives(_Model(problem, space), omega, amplitudes)
+    return _times_pi(slope + (0 if include_period_term else frozen))
 
 
 @dataclass
@@ -284,6 +280,10 @@ class StationaryPoint:
     action_value: float
     grad_norm: float
     branch: str
+    # u1(0) and both dJ/dw conventions, each rounded once; only the audit reads them
+    u1_at_0: float
+    domega_with_period_term: float
+    domega_frozen_period: float
 
 
 def default_bracket(problem: OscillatorProblem) -> tuple[float, float]:
@@ -502,7 +502,7 @@ def solve_stationary(
 
     points = []
     for omega_c, source, b, j in sorted(candidates, key=lambda c: c[:2]):
-        gradient, slope, _, _ = _derivatives(model, omega_c, b)
+        gradient, slope, frozen, u1_0 = _derivatives(model, omega_c, b)
         points.append(
             (
                 StationaryPoint(
@@ -511,6 +511,9 @@ def solve_stationary(
                     action_value=j,
                     grad_norm=max(abs(_times_pi(x)) for x in [*gradient, slope]),
                     branch="stationary",
+                    u1_at_0=float(u1_0),
+                    domega_with_period_term=_times_pi(slope),
+                    domega_frozen_period=_times_pi(slope + frozen),
                 ),
                 source,
             )

@@ -27,15 +27,14 @@ from dataclasses import asdict, dataclass, field
 
 from .models import OscillatorProblem, Polynomial
 from .action import (
+    DOUBLE_SHAPES,
+    SINGLE_SHAPES,
     TRIVIALITY_SCALE,
     StationaryPoint,
     TrialSpace,
     _balance_frequency,
     _harmonics,
-    _point_values,
-    double_shape_space,
     max_abs,
-    single_shape_space,
     solve_stationary,
 )
 from .oracle import (
@@ -87,11 +86,14 @@ def resonance_frequency(problem: OscillatorProblem) -> float:
     w^2 = w0^2 + eps c1(A) / A. For the cubic oscillator this reduces to
     sqrt(w0^2 + 3 eps A^2 / 4). It is formed exactly and rounded once.
     """
-    radicand, omega = _balance_frequency(problem)
+    return _resonance_frequency(problem, _harmonics(problem))
+
+
+def _resonance_frequency(problem: OscillatorProblem, harmonics: dict) -> float:
+    """``resonance_frequency`` from the exact c_k of f(A cos theta)."""
+    radicand, omega = _balance_frequency(problem, harmonics)
     if omega is None:
-        raise ClosedFormDomainError(
-            f"resonance-balance radicand is not positive ({radicand})"
-        )
+        raise ClosedFormDomainError(f"resonance-balance radicand is not positive ({radicand})")
     return omega
 
 
@@ -134,10 +136,6 @@ def combined_strength(problem: OscillatorProblem) -> float:
 def _is_standard_cubic(problem: OscillatorProblem) -> bool:
     """The two-shape closed forms assume w0^2 = 1 and f(u) = u^3 exactly."""
     return problem.omega0_sq == 1.0 and problem.nonlinearity == Polynomial({3: 1.0})
-
-
-def _matches(space: TrialSpace, reference: TrialSpace) -> bool:
-    return space.shapes == reference.shapes
 
 
 @dataclass
@@ -298,9 +296,8 @@ def full_audit(
         (p for p in points if p.branch == "continued-from-linear"), points[0]
     )
 
-    bc_u1, slope, frozen = _point_values(problem, space, selected.omega, selected.amplitudes)
     trivial = classify_triviality(selected.amplitudes, problem.amplitude)
-    amplitude_mismatch = bc_u1  # u_app(0) - A == u1(0), identically
+    amplitude_mismatch = selected.u1_at_0  # u_app(0) - A == u1(0), identically
     rho = combined_strength(problem)
 
     exact: ExactResult | None = None
@@ -310,10 +307,11 @@ def full_audit(
     except (NonOscillatoryError, QuadratureConvergenceError) as err:
         exact_note = f"unavailable: {err}"
 
+    harmonics = _harmonics(problem)
     omega_single = None
     single_note = ""
     try:
-        omega_single = resonance_frequency(problem)
+        omega_single = _resonance_frequency(problem, harmonics)
     except ClosedFormDomainError as err:
         single_note = f"unavailable: {err}"
 
@@ -345,14 +343,14 @@ def full_audit(
     ]
 
     residuals: dict[str, float] = {}
-    if _matches(space, single_shape_space()):
+    if space.shapes == SINGLE_SHAPES:
         # cos - cos5/3 also meets c_5: the resonance balance is its closed form only where c_5 = 0
-        if omega_single is not None and not _harmonics(problem).get(5, 0):
+        if omega_single is not None and not harmonics.get(5, 0):
             residuals["omega_rel_err_vs_closed_single"] = _rel(
                 selected.omega, omega_single
             )
         residuals["b_abs_max"] = max_abs(selected.amplitudes)
-    if _matches(space, double_shape_space()) and omega_double is not None:
+    if space.shapes == DOUBLE_SHAPES and omega_double is not None:
         residuals["omega_rel_err_vs_closed_double"] = _rel(selected.omega, omega_double)
         closed_b = two_shape_coefficients(problem.amplitude, rho, selected.omega)
         deviation = max(
@@ -372,12 +370,12 @@ def full_audit(
             )
         )
     bc_threshold = BC_SCALE * problem.amplitude
-    if abs(bc_u1) > bc_threshold:
+    if abs(selected.u1_at_0) > bc_threshold:
         findings.append(
             Finding(
                 FINDING_BC,
                 "the correction violates the boundary condition u1(0) = 0",
-                {"u1_at_0": float(bc_u1), "threshold": bc_threshold},
+                {"u1_at_0": float(selected.u1_at_0), "threshold": bc_threshold},
             )
         )
         findings.append(
@@ -429,7 +427,7 @@ def full_audit(
         space=space,
         points=points,
         selected=selected,
-        bc_u1_at_0=bc_u1,
+        bc_u1_at_0=selected.u1_at_0,
         bc_du1_at_0=0.0,  # cosine shapes have u1'(0) = 0 by construction
         trivial=trivial,
         triviality_threshold=TRIVIALITY_SCALE * problem.amplitude,
@@ -438,6 +436,6 @@ def full_audit(
         freq_table=freq_table,
         closed_form_residuals=residuals,
         findings=findings,
-        domega_with_period_term=slope,
-        domega_frozen_period=frozen,
+        domega_with_period_term=selected.domega_with_period_term,
+        domega_frozen_period=selected.domega_frozen_period,
     )

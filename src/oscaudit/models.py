@@ -143,11 +143,11 @@ def total_potential(problem: OscillatorProblem) -> Polynomial:
 
 
 def effective_omega0(problem: OscillatorProblem) -> float:
-    """Heuristic linearised frequency used for bracketing and time budgets.
+    """Heuristic linearised frequency that centres the default frequency bracket.
 
     Folds the leading cubic correction into the linear stiffness; returns
-    0.0 when the combination is not positive (caller must then supply
-    scales explicitly). Raises ``OverflowError`` naming A when A^2 overflows.
+    0.0 when the combination is not positive (the caller must then supply a
+    bracket). Raises ``OverflowError`` naming A when A^2 overflows.
     """
     cubic = problem.nonlinearity.coefficients.get(3, 0.0)
     try:

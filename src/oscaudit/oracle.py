@@ -18,9 +18,9 @@ frequencies are judged:
   LAPACK, BLAS or libm result reaches the returned bits, so the frequency
   is correctly rounded and the same on every platform;
 * time integration: one run of an adaptive high-order Runge-Kutta scheme
-  in x = u / A, from (x, x') = (1, 0) until the first zero crossing, which
-  for odd f is a quarter period by symmetry. Its error estimate is the
-  relative energy drift at that crossing.
+  in x = u / A and tau = lam t, from (x, dx/dtau) = (1, 0) until the first
+  zero crossing, which for odd f is a quarter period by symmetry. Its
+  error estimate is the relative energy drift at that crossing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import TYPE_CHECKING
 
-from .models import OscillatorProblem, Polynomial, effective_omega0, total_potential
+from .models import OscillatorProblem, Polynomial, total_potential
 
 if TYPE_CHECKING:
     import numpy as np
@@ -273,12 +273,14 @@ def solve_ivp(fun, t_span, y0, **options):
     return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
-def _unit_amplitude(problem: OscillatorProblem) -> OscillatorProblem:
-    """The problem in x = u / A: amplitude 1 and f(A x) / A, the same period.
+def _dimensionless(problem: OscillatorProblem) -> tuple[OscillatorProblem, float]:
+    """The problem in x = u / A and tau = lam t, and lam.
 
     f(A x) / A has the coefficients c_p A^(p - 1), so the integrator's
-    absolute tolerance scales with the amplitude. Raises ``OverflowError``
-    naming A when one of them is not a double.
+    tolerances are relative to the amplitude. lam^2 = 2 V(1) is twice the
+    depth of that unit-amplitude well (w0^2 for a linear one), so a period
+    is of order 2 pi in tau at every amplitude. Raises ``OverflowError``
+    naming A when a coefficient or lam^2 is not a double.
     """
     amplitude = problem.amplitude
     scaled = {}
@@ -289,19 +291,14 @@ def _unit_amplitude(problem: OscillatorProblem) -> OscillatorProblem:
             scaled[p] = math.inf
         if math.isinf(scaled[p]):
             raise OverflowError(f"c_{p} A^{p - 1} overflows a double (A = {amplitude})")
-    return replace(problem, nonlinearity=Polynomial(scaled), amplitude=1.0)
-
-
-def _time_scale(unit: OscillatorProblem) -> float:
-    w_eff = effective_omega0(unit)
-    if w_eff > 0.0:
-        return w_eff
-    # No usable linearised frequency (for example a pure quintic well):
-    # fall back to the energy scale of the well itself.
-    depth = total_potential(unit)(1.0)
-    if depth <= 0.0:
+    unit = replace(problem, nonlinearity=Polynomial(scaled), amplitude=1.0)
+    lam_sq = 2.0 * total_potential(unit)(1.0)
+    if not math.isfinite(lam_sq):
+        raise OverflowError(f"lam^2 = 2 V(1) overflows a double (A = {amplitude})")
+    if not lam_sq > 0.0:
         raise NonOscillatoryError("potential well has no positive depth at A")
-    return math.sqrt(2.0 * depth)
+    return replace(unit, omega0_sq=unit.omega0_sq / lam_sq,
+                   epsilon=unit.epsilon / lam_sq), math.sqrt(lam_sq)
 
 
 def _integrate(unit: OscillatorProblem, t_end: float, **options):
@@ -318,12 +315,12 @@ def _integrate(unit: OscillatorProblem, t_end: float, **options):
 def exact_period_ode(problem: OscillatorProblem) -> ExactResult:
     """Event-detected quarter period from one adaptive time integration.
 
-    The problem is integrated in x = u / A (``_unit_amplitude``), so the
-    tolerances are relative to the amplitude. ``est_error`` is that run's
-    relative energy drift at the zero crossing it located.
+    The problem is integrated in x = u / A and tau = lam t (``_dimensionless``)
+    for up to ``ODE_PERIOD_BUDGET`` times 2 pi in tau; the period is 4 tau* / lam.
+    ``est_error`` is that run's relative energy drift at the crossing tau*.
     """
     _check_oscillatory(problem)
-    unit = _unit_amplitude(problem)
+    unit, lam = _dimensionless(problem)
 
     def crossing(_t, y):
         return y[0]
@@ -331,13 +328,12 @@ def exact_period_ode(problem: OscillatorProblem) -> ExactResult:
     crossing.terminal = True
     crossing.direction = -1.0
 
-    t_max = ODE_PERIOD_BUDGET * 2.0 * math.pi / _time_scale(unit)
-    solution = _integrate(unit, t_max, events=crossing)
+    solution = _integrate(unit, ODE_PERIOD_BUDGET * 2.0 * math.pi, events=crossing)
     if not solution.t_events[0].size:
         raise DivergenceError(
-            f"no zero crossing of u within {ODE_PERIOD_BUDGET} linearised periods"
+            f"no zero crossing of u within {ODE_PERIOD_BUDGET} times 2 pi in tau = lam t"
         )
-    period = 4.0 * float(solution.t_events[0][0])
+    period = 4.0 * float(solution.t_events[0][0]) / lam
     x, v = (float(y) for y in solution.y_events[0][0])
     potential = total_potential(unit)
     start = potential(1.0)
@@ -350,9 +346,10 @@ def exact_period_ode(problem: OscillatorProblem) -> ExactResult:
 
 
 def trajectory(problem: OscillatorProblem, times) -> np.ndarray:
-    """Displacement samples u(t): A times the unit-amplitude integration."""
+    """Displacement samples u(t) = A x(lam t) of the dimensionless integration."""
     import numpy as np
 
     times = np.asarray(times, dtype=float)
-    solution = _integrate(_unit_amplitude(problem), float(times[-1]), t_eval=times)
+    unit, lam = _dimensionless(problem)
+    solution = _integrate(unit, float(times[-1]) * lam, t_eval=times * lam)
     return problem.amplitude * solution.y[0]

@@ -1,11 +1,24 @@
-"""Shared numeric helpers for the test suite.
+"""Shared helpers for the test suite.
 
 The Gauss-Legendre helper provides an integration oracle that is
 independent of the package's closed-form coefficient arithmetic.
+``child_env`` lets a fresh interpreter import the package from ``src``
+without installing it.
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env():
+    """This process's environment with ``src`` first on PYTHONPATH."""
+    old = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + old if old else ""))
 
 
 def gauss_integral(fn, a, b, panels=16, nodes=24):

@@ -18,7 +18,7 @@ from oscaudit.action import (
     solve_B,
     solve_stationary,
 )
-from oscaudit.audit import two_shape_frequency
+from oscaudit.audit import full_audit, two_shape_frequency
 
 from conftest import gauss_integral
 
@@ -429,13 +429,14 @@ THREE_SHAPES = TrialSpace(
 
 
 def _quadrature_reference(mpmath, problem, space, omega, amplitudes):
-    """B, J and dJ/dw (moving and frozen window) from 50-digit quadratures
-    of the definitions.
+    """B, J, dJ/dw (moving and frozen window) and u1(0) from 50-digit
+    quadratures of the definitions.
 
     M and g are integrated over one period at ``omega`` and B solves
     M B = -g; J integrates the Lagrangian at that B. Both derivatives
     differentiate the integrated Lagrangian at the reported ``amplitudes``:
     over [0, 2 pi / w] and over the window frozen at [0, 2 pi / omega].
+    u1(0) sums the shapes at t = 0 with the reported ``amplitudes``.
     """
     with mpmath.workdps(REFERENCE_DIGITS):
         w_point = mpmath.mpf(omega)
@@ -481,11 +482,13 @@ def _quadrature_reference(mpmath, problem, space, omega, amplitudes):
         reported = [mpmath.mpf(float(x)) for x in amplitudes]
         total = mpmath.diff(lambda w: action(reported, w, 2 * mpmath.pi / w), w_point)
         frozen = mpmath.diff(lambda w: action(reported, w, period), w_point)
-        return [float(x) for x in b], float(action(b, w_point, period)), float(total), float(frozen)
+        u1_0 = sum(y * phi(s, w_point, 0) for y, s in zip(reported, shapes))
+        return ([float(x) for x in b], float(action(b, w_point, period)), float(total),
+                float(frozen), float(u1_0))
 
 
 @pytest.mark.parametrize(
-    "problem, space, omega, amplitudes, action, with_period_term, frozen_period",
+    "problem, space, omega, amplitudes, action, with_period_term, frozen_period, u1_at_0",
     [
         (
             duffing(1.0, 1.0),
@@ -495,6 +498,7 @@ def _quadrature_reference(mpmath, problem, space, omega, amplitudes):
             0.002149977527375229,
             7.249499233991661e-16,
             0.001445680862923615,
+            0.0014074181136646215,
         ),
         (
             OscillatorProblem(1.0, 1.0, Polynomial({3: 1.0, 5: 0.2}), 1.0),
@@ -504,18 +508,19 @@ def _quadrature_reference(mpmath, problem, space, omega, amplitudes):
             0.004031682845979171,
             4.099094930583652e-15,
             0.0035055867447453355,
+            0.0028910933201801076,
         ),
     ],
     ids=["al-double-duffing", "three-shapes-cubic-quintic"],
 )
 def test_point_values_are_correctly_rounded(
-    problem, space, omega, amplitudes, action, with_period_term, frozen_period
+    problem, space, omega, amplitudes, action, with_period_term, frozen_period, u1_at_0
 ):
     mpmath = pytest.importorskip("mpmath")
     (point,) = solve_stationary(problem, space)
     assert point.omega == omega
     reference = _quadrature_reference(mpmath, problem, space, omega, point.amplitudes)
-    assert reference == (amplitudes, action, with_period_term, frozen_period)
+    assert reference == (amplitudes, action, with_period_term, frozen_period, u1_at_0)
     assert list(point.amplitudes) == amplitudes
     assert point.action_value == action
     assert d_omega(problem, space, omega, point.amplitudes) == with_period_term
@@ -523,3 +528,7 @@ def test_point_values_are_correctly_rounded(
         d_omega(problem, space, omega, point.amplitudes, include_period_term=False)
         == frozen_period
     )
+    report = full_audit(problem, space)
+    assert report.bc_u1_at_0 == u1_at_0
+    assert report.domega_with_period_term == with_period_term
+    assert report.domega_frozen_period == frozen_period

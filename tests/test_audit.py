@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oscaudit import action
+from oscaudit import action, audit
 from oscaudit.models import OscillatorProblem, Polynomial, duffing
 from oscaudit.hpm import order1_forcing
 from oscaudit.action import TrialSpace, double_shape_space, single_shape_space
@@ -281,6 +281,41 @@ def test_full_audit_deterministic_reports():
     first = full_audit(duffing(1.0, 1.0), double_shape_space())
     second = full_audit(duffing(1.0, 1.0), double_shape_space())
     assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [duffing(1.0, 1.0), OscillatorProblem(1.0, 1.0, Polynomial({3: 1.0, 5: 0.2}), 1.0)],
+    ids=["duffing", "cubic-quintic"],
+)
+@pytest.mark.parametrize("space", [single_shape_space(), double_shape_space(), THREE_SHAPES],
+                         ids=["al-single", "al-double", "three"])
+def test_full_audit_reads_the_solvers_model(monkeypatch, problem, space):
+    # one exact model per audit: the audit takes u1(0) and both dJ/dw from
+    # the solver's points, and recognises the presets without building them
+    counts = dict.fromkeys(("model", "space", "harmonics", "derivatives"), 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(action, "_Model", counting("model", action._Model))
+    monkeypatch.setattr(TrialSpace, "__post_init__", counting("space", TrialSpace.__post_init__))
+    harmonics = counting("harmonics", action._harmonics)
+    monkeypatch.setattr(action, "_harmonics", harmonics)
+    monkeypatch.setattr(audit, "_harmonics", harmonics)
+    monkeypatch.setattr(action, "_derivatives", counting("derivatives", action._derivatives))
+    action.solve_stationary(problem, space)
+    solver_derivatives = counts["derivatives"]
+    counts.update(dict.fromkeys(counts, 0))
+    full_audit(problem, space)
+    assert counts["model"] == 1
+    assert counts["space"] == 0
+    assert counts["harmonics"] <= 2
+    assert counts["derivatives"] == solver_derivatives
 
 
 def test_full_audit_custom_space_skips_closed_forms():

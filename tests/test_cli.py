@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
+
 GOLDEN = Path(__file__).parent / "data" / "sweep_duffing_default.csv"
 
 
@@ -17,6 +19,7 @@ def run_cli(*args):
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "oscaudit", *args],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 
@@ -421,6 +424,17 @@ def test_exact_verb_at_a_tiny_amplitude():
     assert "Warning" not in result.stderr
     quad, ode = (entry["period"] for entry in json.loads(result.stdout)["results"])
     assert abs(ode - quad) <= 1e-8 * quad
+
+
+def test_exact_verb_at_a_huge_amplitude():
+    # the ODE route integrates in tau = lam t, lam^2 = 2 V(1) of the unit
+    # well, so its steps scale with the period and nothing overflows
+    result = run_cli("exact", "--preset", "duffing", "--A", "1e100", "--eps", "1")
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)["results"]
+    assert [row["method"] for row in rows] == ["quadrature", "ode-event"]
+    assert all(math.isfinite(value) for row in rows for value in row.values()
+               if not isinstance(value, str))
 
 
 def test_single_shape_closed_form_is_checked_only_without_a_fifth_harmonic():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
+from conftest import child_env
 from oscaudit import oracle
 from oscaudit.models import OscillatorProblem, Polynomial, duffing
 from oscaudit.oracle import (
@@ -77,17 +78,20 @@ def test_ode_harmonic_oscillator():
 
 # the route integrates x = u / A, so its tolerances scale with A
 TINY_AMPLITUDES = ((1.0, 1e-6), (1.0, 1e-10), (1.0, 1e-13), (1.0, 1e-200))
+# and in tau = lam t, lam^2 = 2 V(1), so its step sizes scale with the period
+LARGE_AMPLITUDES = ((1.0, 1e15), (1.0, 1e50), (1.0, 1e100), (1.0, 1e150))
 
 
 def test_ode_agrees_with_quadrature():
-    for eps, amplitude in ((0.1, 1.0), (1.0, 1.0), (10.0, 2.0)) + TINY_AMPLITUDES:
+    cases = ((0.1, 1.0), (1.0, 1.0), (10.0, 2.0)) + TINY_AMPLITUDES + LARGE_AMPLITUDES
+    for eps, amplitude in cases:
         quad = exact_period_quadrature(duffing(amplitude, eps))
         ode = exact_period_ode(duffing(amplitude, eps))
         assert abs(quad.period - ode.period) <= 1e-8 * quad.period
 
 
 def test_ode_energy_drift_bounded():
-    for eps, amplitude in ((1.0, 1.0), (10.0, 2.0)) + TINY_AMPLITUDES:
+    for eps, amplitude in ((1.0, 1.0), (10.0, 2.0)) + TINY_AMPLITUDES + LARGE_AMPLITUDES:
         result = exact_period_ode(duffing(amplitude, eps))
         assert result.est_error <= 1e-8
 
@@ -262,7 +266,7 @@ def test_scipy_is_loaded_only_by_the_ode_route():
         "loaded()\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False"] * 6 + ["True", "True"]
