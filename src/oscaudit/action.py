@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .fourier import TrigSeries
-from .models import OscillatorProblem, effective_omega0
+from .fourier import MAX_HARMONIC, TrigSeries
+from .models import OscillatorProblem, effective_omega0, horner, positive_on
 from .hpm import order1_forcing
 
 if TYPE_CHECKING:
@@ -76,6 +76,8 @@ class TrialSpace:
                     raise ValueError(
                         f"shape {idx}: harmonic must be a non-negative integer, got {k!r}"
                     )
+                if k > MAX_HARMONIC:
+                    raise ValueError(f"shape {idx}: harmonic {k} exceeds {MAX_HARMONIC}")
                 v = float(v)
                 if not math.isfinite(v):
                     raise ValueError(
@@ -380,16 +382,6 @@ def _solve_exact(matrix, columns):
     return [[row[n + j] for row in rows] for j in range(len(columns))]
 
 
-def _at(poly, e):
-    return sum(c * e**m for m, c in enumerate(poly))
-
-
-def _positive_on(poly, lo, hi):
-    """Whether a quadratic (lowest coefficient first) is positive on [lo, hi]."""
-    vertex = -poly[1] / (2 * poly[2]) if poly[2] > 0 else lo
-    return all(_at(poly, e) > 0 for e in (lo, hi, min(max(vertex, lo), hi)))
-
-
 def _decimal(x: Fraction) -> decimal.Decimal:
     return decimal.Decimal(x.numerator) / x.denominator
 
@@ -417,7 +409,7 @@ def _stationary_frequencies(model: _Model, bracket):
     gamma = (w0_sq**2 * alpha, 2 * w0_sq * cross, square)
     square_of_beta = (beta[0] ** 2, 2 * beta[0] * beta[1], beta[1] ** 2)
     disc = [x + 3 * alpha * y for x, y in zip(square_of_beta, gamma)]
-    b, g, d = _at(beta, eps), _at(gamma, eps), _at(disc, eps)
+    b, g, d = horner(beta, eps), horner(gamma, eps), horner(disc, eps)
     with decimal.localcontext(_CONTEXT):
         if alpha == 0:
             squares = [_decimal(3 * g / (2 * b))] if b else []
@@ -431,10 +423,10 @@ def _stationary_frequencies(model: _Model, bracket):
         # or sign(alpha) gamma > 0, all the way; sign(alpha) beta > 0 at e = 0.
         linear = None
         lo, hi = min(eps, 0), max(eps, 0)
-        if alpha and w0_sq > 0 and _positive_on(disc, lo, hi):  # so d > 0
+        if alpha and w0_sq > 0 and positive_on(disc, lo, hi):  # so d > 0
             if beta[1] and lo < -beta[0] / beta[1] < hi:
                 lo, hi = sorted((0, -beta[0] / beta[1]))
-            if _positive_on([x if alpha > 0 else -x for x in gamma], lo, hi):
+            if positive_on([x if alpha > 0 else -x for x in gamma], lo, hi):
                 linear = float(squares[0 if (alpha > 0) != (b >= 0) else 1].sqrt())
         frequencies = [float(s.sqrt()) for s in squares if s > 0]
     points = []

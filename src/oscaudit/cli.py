@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from collections.abc import Callable
 from functools import partial
 
+from .fourier import HarmonicRangeError
 from .models import OscillatorProblem, Polynomial
 from .action import (
     BracketError,
@@ -59,6 +60,7 @@ DOMAIN_ERRORS = (
     NonOscillatoryError,
     DivergenceError,
     QuadratureConvergenceError,
+    HarmonicRangeError,
     OverflowError,
 )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fourier import TrigSeries
 
@@ -140,6 +141,54 @@ def total_potential(problem: OscillatorProblem) -> Polynomial:
     """V(u) = omega0_sq u^2 / 2 + epsilon F(u)."""
     quadratic = Polynomial({2: 0.5 * problem.omega0_sq})
     return quadratic + problem.epsilon * potential(problem.nonlinearity)
+
+
+def horner(coefficients, x):
+    """The polynomial with these coefficients, lowest first, at x."""
+    total = 0
+    for c in reversed(coefficients):
+        total = total * x + c
+    return total
+
+
+def _sign_changes(values):
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def positive_on(coefficients, lo, hi) -> bool:
+    """Whether the polynomial with these coefficients, lowest first, is > 0
+    at lo and has no real root in (lo, hi], decided exactly in rationals.
+
+    After the shift q(x) = p(lo + x), coefficients with at most one sign
+    change leave at most one positive root, a simple one (Descartes' rule of
+    signs), so q(0) > 0 and q(hi - lo) > 0 decide. Otherwise q's Sturm
+    sequence counts its distinct roots in (0, hi - lo] (Sturm's theorem;
+    Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, 2006).
+    """
+    q, lo = [Fraction(c) for c in coefficients], Fraction(lo)
+    while q and not q[-1]:
+        q.pop()
+    for i in range(len(q) - 1 if lo else 0):  # Taylor shift by synthetic division
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += lo * q[j + 1]
+    width = Fraction(hi) - lo
+    if not q or q[0] <= 0:
+        return False
+    changes = _sign_changes(q)
+    if changes < 2:
+        return changes == 0 or horner(q, width) > 0
+    sequence = [q, [k * c for k, c in enumerate(q)][1:]]
+    while len(sequence[-1]) > 1:  # ends at a constant, or at [] past the gcd
+        rest, divisor = sequence[-2], sequence[-1]
+        while len(rest) >= len(divisor):
+            factor, pad = rest[-1] / divisor[-1], [0] * (len(rest) - len(divisor))
+            rest = [r - factor * d for r, d in zip(rest, pad + divisor)][:-1]
+        while rest and not rest[-1]:
+            rest.pop()
+        sequence.append([-c for c in rest])
+    at_lo, at_hi = ([horner(s, x) for s in sequence] for x in (0, width))
+    return _sign_changes(at_lo) == _sign_changes(at_hi)
 
 
 def effective_omega0(problem: OscillatorProblem) -> float:

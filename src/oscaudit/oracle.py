@@ -5,7 +5,8 @@ frequencies are judged:
 
 * energy integral: for a well V with V(A) > V(u) on [0, A) the quarter
   period is  integral_0^A du / sqrt(2 (V(A) - V(u))).  V is even, so
-  V(A) - V(u) = (A^2 - u^2) D(u^2) with a polynomial D, and substituting
+  V(A) - V(u) = (A^2 - u^2) D(u^2) with a polynomial D (both routes first
+  decide exactly that D > 0 on [0, A^2]), and substituting
   u = A (1 - t^2) gives the smooth integral
   integral_0^1 sqrt(2 / ((2 - t^2) D(u^2))) dt,  with no endpoint
   singularity and no trigonometry.  Near a separatrix D(u^2) almost
@@ -28,11 +29,12 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .models import OscillatorProblem, Polynomial, total_potential
+from .models import OscillatorProblem, Polynomial, horner, positive_on, total_potential
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,8 +58,6 @@ _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
 # after a step this small the root is exact to the polishing digits.
 _POLISH = decimal.Context(prec=QUAD_DIGITS + 10)
 _POLISHED = Decimal(10) ** -(_POLISH.prec // 2 + 4)
-# x = (j / 512)^2 at which the oscillation check samples D(A^2 x)
-_SAMPLES = tuple((j / 512) ** 2 for j in range(512))
 
 
 class NonOscillatoryError(ValueError):
@@ -136,63 +136,30 @@ def leggauss(n: int):
     return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
-def _horner(coefficients, v):
-    total = Decimal(0)
-    for c in reversed(coefficients):
-        total = total * v + c
-    return total
-
-
-def _amplitude_squared(problem: OscillatorProblem) -> Decimal:
-    amplitude = Decimal(float(problem.amplitude))
-    return amplitude * amplitude
-
-
-def _depth_coefficients(problem: OscillatorProblem):
-    """Coefficients d_m, lowest first, of D with V(A) - V(u) = (A^2 - u^2) D(u^2).
-
-    With V(u) = sum_k P_k u^{2k},  d_m = sum_{k > m} P_k A^{2 (k - 1 - m)}.
-    The P_k are formed from the problem's own doubles, converted exactly, in
-    the current decimal context.
-    """
-    data = (problem.omega0_sq, problem.epsilon, problem.amplitude,
-            *problem.nonlinearity.coefficients.values())
-    if not all(math.isfinite(value) for value in data):
-        raise NonOscillatoryError("the problem has a non-finite parameter")
-    a_sq = _amplitude_squared(problem)
-    eps = Decimal(float(problem.epsilon))
-    halves = {1: Decimal(float(problem.omega0_sq)) / 2}
-    for p, c in problem.nonlinearity.coefficients.items():
-        halves[(p + 1) // 2] = halves.get((p + 1) // 2, 0) + eps * Decimal(c) / (p + 1)
-    coefficients = [Decimal(0)] * max(halves)
-    for k, p_k in halves.items():
-        for m in range(k - 1, -1, -1):
-            coefficients[m] += p_k
-            p_k *= a_sq
-    return coefficients
-
-
 def _check_oscillatory(problem: OscillatorProblem):
-    """V(A) must strictly dominate V(u) on [0, A): D(u^2) > 0 at samples.
+    """Decide exactly that V(A) > V(u) on [0, A); return D, V(A) - V(u) =
+    (A^2 - u^2) D(u^2), with each coefficient rounded once to ``QUAD_DIGITS``.
 
-    D(A^2 x) is sampled at the ``_SAMPLES`` x in [0, 1) with coefficients
-    scaled in decimal by the largest, so no sample overflows. Returns the
-    coefficients of D.
+    With V(u) = sum_k P_k u^{2k}, D's coefficients d_m = P_{m+1} + A^2 d_{m+1}
+    are rationals of the problem's own doubles, and ``positive_on`` decides
+    D > 0 on [0, A^2]. V'(A) = 2 A D(A^2), so D(A^2) = 0 is the top of the well.
     """
-    with decimal.localcontext(_CONTEXT):
-        coefficients = _depth_coefficients(problem)
-        scaled = [c * _amplitude_squared(problem) ** m for m, c in enumerate(coefficients)]
-        largest = max(abs(c) for c in scaled) or 1
-        scaled = [float(c / largest) for c in scaled]
-    depth = [scaled[-1]] * len(_SAMPLES)
-    for c in reversed(scaled[:-1]):  # Horner, one coefficient at a time
-        depth = [c + d * x for d, x in zip(depth, _SAMPLES)]
-    if not all(d > 0.0 for d in depth):
+    a_sq, eps = Fraction(problem.amplitude) ** 2, Fraction(problem.epsilon)
+    halves = {1: Fraction(problem.omega0_sq) / 2}
+    for p, c in problem.nonlinearity.coefficients.items():
+        halves[(p + 1) // 2] = halves.get((p + 1) // 2, 0) + eps * Fraction(c) / (p + 1)
+    depth = [halves[max(halves)]]
+    for k in range(max(halves) - 1, 0, -1):
+        depth.insert(0, halves.get(k, 0) + a_sq * depth[0])
+    if not positive_on(depth, 0, a_sq):
         raise NonOscillatoryError(
+            "V'(A) <= 0; the amplitude is at or beyond the top of the well"
+            if horner(depth, a_sq) == 0 else
             "V(A) does not dominate V(u) on [0, A); the configuration "
             "does not oscillate with this amplitude"
         )
-    return coefficients
+    with decimal.localcontext(_CONTEXT):
+        return [Decimal(d.numerator) / d.denominator for d in depth]
 
 
 def exact_period_quadrature(problem: OscillatorProblem) -> ExactResult:
@@ -203,19 +170,15 @@ def exact_period_quadrature(problem: OscillatorProblem) -> ExactResult:
     """
     coefficients = _check_oscillatory(problem)
     with decimal.localcontext(_CONTEXT):
-        a_sq = _amplitude_squared(problem)
-        # E(s) = D(A^2 (1 - s)^2) with s = t^2: E(0) = V'(A) / (2 A), and
-        # the linear model of E puts its near-zero at s = -scale^2; the sinh
-        # map is used when that lies closer to t = 0 than t = +-i
-        at_turning_point = _horner(coefficients, a_sq)
-        if at_turning_point <= 0:
-            raise NonOscillatoryError(
-                "V'(A) <= 0; the amplitude is at or beyond the top of the well"
-            )
+        a_sq = Decimal(problem.amplitude) * Decimal(problem.amplitude)
+        # E(s) = D(A^2 (1 - s)^2), s = t^2: E(0) = V'(A) / (2 A), > 0 unrounded;
+        # the linear model of E puts its near-zero at s = -scale^2, and the
+        # sinh map is used when that lies closer to t = 0 than t = +-i
+        at_turning_point = horner(coefficients, a_sq)
         derivative = [m * c for m, c in enumerate(coefficients)][1:]
-        growth = -2 * a_sq * _horner(derivative, a_sq)
+        growth = -2 * a_sq * horner(derivative, a_sq)
         scale = None
-        if growth > at_turning_point:
+        if growth > at_turning_point > 0:
             scale = (at_turning_point / growth).sqrt()
             stretch = (1 / scale + (1 / (scale * scale) + 1).sqrt()).ln()  # asinh(1/scale)
         previous = None
@@ -234,7 +197,7 @@ def exact_period_quadrature(problem: OscillatorProblem) -> ExactResult:
                     weight = wk * scale * stretch * (grow + 1 / grow) / 2
                 t_sq = t * t
                 u_rel = 1 - t_sq
-                depth = _horner(coefficients, a_sq * u_rel * u_rel)
+                depth = horner(coefficients, a_sq * u_rel * u_rel)
                 if depth <= 0:
                     raise NonOscillatoryError(
                         "well slope non-positive at a quadrature node"
@@ -276,29 +239,23 @@ def solve_ivp(fun, t_span, y0, **options):
 def _dimensionless(problem: OscillatorProblem) -> tuple[OscillatorProblem, float]:
     """The problem in x = u / A and tau = lam t, and lam.
 
-    f(A x) / A has the coefficients c_p A^(p - 1), so the integrator's
-    tolerances are relative to the amplitude. lam^2 = 2 V(1) is twice the
-    depth of that unit-amplitude well (w0^2 for a linear one), so a period
-    is of order 2 pi in tau at every amplitude. Raises ``OverflowError``
-    naming A when a coefficient or lam^2 is not a double.
+    lam^2 = 2 V(A) / A^2 = 2 d_0 of ``_check_oscillatory``'s D is twice the
+    depth of the unit well, so a period is of order 2 pi in tau at every A.
+    The unit problem (strength 1, stiffness w0^2 / lam^2, coefficients
+    eps c_p A^(p - 1) / lam^2) is formed in decimal, each value rounded once.
+    Raises ``OverflowError`` naming A when lam is not a double.
     """
-    amplitude = problem.amplitude
-    scaled = {}
-    for p, c in problem.nonlinearity.coefficients.items():
-        try:
-            scaled[p] = c * amplitude ** (p - 1)
-        except OverflowError:
-            scaled[p] = math.inf
-        if math.isinf(scaled[p]):
-            raise OverflowError(f"c_{p} A^{p - 1} overflows a double (A = {amplitude})")
-    unit = replace(problem, nonlinearity=Polynomial(scaled), amplitude=1.0)
-    lam_sq = 2.0 * total_potential(unit)(1.0)
-    if not math.isfinite(lam_sq):
-        raise OverflowError(f"lam^2 = 2 V(1) overflows a double (A = {amplitude})")
-    if not lam_sq > 0.0:
-        raise NonOscillatoryError("potential well has no positive depth at A")
-    return replace(unit, omega0_sq=unit.omega0_sq / lam_sq,
-                   epsilon=unit.epsilon / lam_sq), math.sqrt(lam_sq)
+    depth = _check_oscillatory(problem)
+    with decimal.localcontext(_CONTEXT):
+        lam_sq = 2 * depth[0]
+        lam = float(lam_sq.sqrt())
+        if not 0.0 < lam < math.inf:
+            raise OverflowError(f"lam is not a double (A = {problem.amplitude})")
+        amplitude, eps = Decimal(problem.amplitude), Decimal(problem.epsilon)
+        unit = {p: float(eps * Decimal(c) * amplitude ** (p - 1) / lam_sq)
+                for p, c in problem.nonlinearity.coefficients.items()}
+        omega0_sq = float(Decimal(problem.omega0_sq) / lam_sq)
+    return OscillatorProblem(omega0_sq, 1.0, Polynomial(unit), 1.0), lam
 
 
 def _integrate(unit: OscillatorProblem, t_end: float, **options):
@@ -319,7 +276,6 @@ def exact_period_ode(problem: OscillatorProblem) -> ExactResult:
     for up to ``ODE_PERIOD_BUDGET`` times 2 pi in tau; the period is 4 tau* / lam.
     ``est_error`` is that run's relative energy drift at the crossing tau*.
     """
-    _check_oscillatory(problem)
     unit, lam = _dimensionless(problem)
 
     def crossing(_t, y):

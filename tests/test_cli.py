@@ -253,7 +253,9 @@ def test_format_is_checked_per_verb_before_the_solve(verb, fmt):
         (("audit", "--space", "al-double", "--A", "1e120"), 3, "stationary_points[0].J"),
         (("analyze", "--A", "1e160"), 3, "A^2 overflows"),
         (("audit", "--A", "1e160"), 3, "A^2 overflows"),
-        (("exact", "--A", "1e160"), 3, "A^2 overflows"),
+        # the ODE route takes its time scale and unit coefficients from the
+        # exact D, so neither A^2 nor c_3 A^2 has to be a double
+        (("exact", "--A", "1e160"), 0, ""),
     ],
 )
 def test_overflow_is_a_domain_error_or_a_null(args, code, message):
@@ -263,7 +265,10 @@ def test_overflow_is_a_domain_error_or_a_null(args, code, message):
     assert "Traceback" not in result.stderr
     assert "Infinity" not in result.stdout
     assert "NaN" not in result.stdout
-    if code == 0:
+    if args[0] == "exact":
+        quad, ode = (row["period"] for row in json.loads(result.stdout)["results"])
+        assert math.isfinite(quad) and abs(ode - quad) <= 1e-8 * quad
+    elif code == 0:
         row = json.loads(result.stdout)["audit"]["freq_table"][2]
         assert row["source"] == "closed_form_double"
         assert row["omega"] is None
@@ -496,3 +501,30 @@ def test_config_file_custom_space(tmp_path):
 def test_bad_bracket_is_config_error():
     result = run_cli("analyze", "--bracket", "oops")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (("audit", "--eps", "nan"), 2, "finite"),
+        (("audit", "--format", "xml"), 2, "format"),
+        (("exact", "--preset", "duffing", "--eps", "-2"), 3, "does not dominate"),
+        (("exact", "--preset", "duffing", "--eps", "-1"), 3, "V'(A) <= 0"),
+        (("audit", "--poly", "3:-1,5:1", "--eps", "10", "--A", "2"), 3, "bracket"),
+        # the float series algebra of the zero-amplitude ray stops at harmonic 64
+        (("analyze", "--poly", "65:1"), 3, "harmonic 65"),
+        (("audit", "--poly", "65:1"), 3, "harmonic 65"),
+        (("sweep", "--poly", "65:1"), 3, "harmonic 65"),
+        (("audit", "--space", "custom", "--shape", "1:1,65:-0.01"), 2, "harmonic 65"),
+        # V(A) - V(u) = (A^2 - u^2) (u^2 - 1/2)^2 / 4 touches 0 at u^2 = 1/2
+        (("exact", "--omega0sq", "0.625", "--poly", "3:-2,5:1.5"), 3, "does not dominate"),
+    ],
+    ids=["non-finite", "format", "no-well", "eps-minus-1", "no-bracket", "analyze-poly-65",
+         "audit-poly-65", "sweep-poly-65", "shape-65", "touching-well"],
+)
+def test_every_error_exit_is_documented_and_has_no_traceback(args, code, message):
+    result = run_cli(*args)
+    assert result.returncode == code, result.stderr
+    assert result.stderr.startswith(("config error: ", "numeric domain error: "))
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr

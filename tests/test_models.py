@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from oscaudit.models import (
     Polynomial,
     duffing,
     effective_omega0,
+    positive_on,
     potential,
     total_potential,
 )
@@ -119,3 +123,82 @@ def test_polynomial_rejects_bad_powers():
 
 def test_polynomial_drops_zero_coefficients():
     assert Polynomial({3: 1.0, 5: 0.0}) == Polynomial({3: 1.0})
+
+
+# -- exact positivity on an interval -----------------------------------------
+
+
+def _times(*factors):
+    """Coefficients, lowest first, of the product of coefficient lists."""
+    product = [Fraction(1)]
+    for factor in factors:
+        out = [Fraction(0)] * (len(product) + len(factor) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        product = out
+    return product
+
+
+HALF, TINY = Fraction(1, 2), Fraction(1, 10**12)
+TOUCHING = _times([-HALF, 1], [-HALF, 1])  # (x - 1/2)^2
+
+
+@pytest.mark.parametrize(
+    "coefficients, lo, hi, expected",
+    [
+        # degree 0, and the zero polynomial
+        ([3], 0, 1, True),
+        ([0], 0, 1, False),
+        ([-1], 0, 1, False),
+        ([], 0, 1, False),
+        # degree 1: a root exactly at hi or at lo
+        ([1, -1], 0, HALF, True),
+        ([1, -1], 0, 1, False),
+        ([0, 1], 0, 1, False),
+        ([0, 1], TINY, 1, True),
+        # degree 2: a double root inside, and the intervals either side of it
+        (TOUCHING, 0, 1, False),
+        (TOUCHING, 0, Fraction(1, 4), True),
+        (TOUCHING, Fraction(3, 4), 1, True),
+        (TOUCHING + [0], -1, Fraction(2, 5), True),
+        # degree 3: -(x - 1)(x - 2)(x - 3), between and at its roots
+        (_times([1, -1], [-2, 1], [-3, 1]), 0, HALF, True),
+        (_times([1, -1], [-2, 1], [-3, 1]), 0, 1, False),
+        (_times([1, -1], [-2, 1], [-3, 1]), Fraction(5, 2), Fraction(29, 10), True),
+        (_times([1, -1], [-2, 1], [-3, 1]), Fraction(3, 2), 2, False),
+        # degree 4: a sliver of depth 1e-12 at x = 1/2, and its mirror
+        (_times([Fraction(1, 4) - TINY, -1, 1], [1, 0, 1]), 0, 1, False),
+        (_times([Fraction(1, 4) + TINY, -1, 1], [1, 0, 1]), 0, 1, True),
+        # degree 5: -(x - 3)(x^2 + 1)^2 reaches 0 at hi = 3 only
+        (_times([3, -1], [1, 0, 1], [1, 0, 1]), 0, 2, True),
+        (_times([3, -1], [1, 0, 1], [1, 0, 1]), 0, 3, False),
+        # lo == hi: the value there decides
+        ([1, -1], 1, 1, False),
+        ([1, -1], HALF, HALF, True),
+        # trailing zeros, as D has at eps = 0: D(v) = w0^2 / 2
+        ([HALF, 0, 0], 0, 4, True),
+        ([1, 2, 0, 0], -HALF, 1, False),
+    ],
+)
+def test_positive_on(coefficients, lo, hi, expected):
+    assert positive_on(coefficients, lo, hi) is expected
+
+
+def _vertex_test(quadratic, lo, hi):
+    """Positivity of a quadratic on [lo, hi] at its endpoints and its vertex."""
+    c0, c1, c2 = quadratic
+    vertex = -c1 / (2 * c2) if c2 > 0 else lo
+    at = min(max(vertex, lo), hi)
+    return all(c0 + c1 * x + c2 * x * x > 0 for x in (lo, hi, at))
+
+
+def test_positive_on_agrees_with_the_vertex_test_on_quadratics():
+    # the solver's discriminant and gamma are quadratics in the strength,
+    # decided on [min(eps, 0), max(eps, 0)]
+    rng = random.Random(7)
+    for _ in range(2000):
+        quadratic = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(3)]
+        lo, hi = sorted(Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(2))
+        for interval in ((lo, hi), (min(lo, 0), max(lo, 0))):
+            assert positive_on(quadratic, *interval) == _vertex_test(quadratic, *interval)

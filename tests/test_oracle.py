@@ -2,6 +2,7 @@ import decimal
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -270,3 +271,42 @@ def test_scipy_is_loaded_only_by_the_ode_route():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False"] * 6 + ["True", "True"]
+
+
+# -- the exact decision: no sampling ------------------------------------------
+
+# D(v) = (v - 1/2)^2 / 4 exactly: V(A) - V(u) touches 0 at u^2 = 1/2
+TOUCHING_WELL = OscillatorProblem(0.625, 1.0, Polynomial({3: -2.0, 5: 1.5}), 1.0)
+
+
+def _sliver(delta):
+    """A = eps = 1 well whose D dips to -delta / 6 at v0, between two of the
+    512 points (j / 512)^2 that a sampled check would look at."""
+    v0 = ((362 / 512) ** 2 + (363 / 512) ** 2) / 2
+    f = Polynomial({3: -(2 / 3) * (1 + 2 * v0), 5: 1.0})
+    return OscillatorProblem((v0 * v0 + 2 * v0 - delta) / 3, 1.0, f, 1.0)
+
+
+@pytest.mark.parametrize("route", [exact_period_quadrature, exact_period_ode])
+def test_touching_well_is_rejected_at_once(route):
+    started = time.perf_counter()
+    with pytest.raises(NonOscillatoryError, match="does not dominate"):
+        route(TOUCHING_WELL)
+    assert time.perf_counter() - started < 0.05
+
+
+@pytest.mark.parametrize("route", [exact_period_quadrature, exact_period_ode])
+def test_sliver_between_samples_is_rejected(route):
+    with pytest.raises(NonOscillatoryError, match="does not dominate"):
+        route(_sliver(1e-8))
+
+
+def test_mirror_of_the_sliver_oscillates():
+    depth = oracle._check_oscillatory(_sliver(-1e-8))
+    assert min(depth) < 0 < depth[0]
+
+
+def test_amplitude_at_the_top_of_the_well_names_the_slope():
+    # Duffing eps = -1, A = 1: D(A^2) = 0 exactly, D > 0 on [0, A^2)
+    with pytest.raises(NonOscillatoryError, match=r"V'\(A\) <= 0"):
+        exact_period_ode(duffing(1.0, -1.0))
