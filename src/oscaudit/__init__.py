@@ -18,7 +18,6 @@ from .models import (
     OscillatorProblem,
     Polynomial,
     duffing,
-    effective_omega0,
     potential,
     total_potential,
 )

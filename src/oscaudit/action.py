@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .fourier import MAX_HARMONIC, TrigSeries
-from .models import OscillatorProblem, effective_omega0, horner, positive_on
+from .models import CONTEXT, PI, OscillatorProblem, horner, positive_on, to_decimal
 from .hpm import order1_forcing
 
 if TYPE_CHECKING:
@@ -39,10 +39,6 @@ BRACKET_FACTORS = (0.5, 3.0)
 TRIVIALITY_SCALE = 1e-10
 MERGE_REL_TOL = 1e-9
 JOINT_RAY_TOL = 1e-9
-# Digits of the square roots of the stationarity quadratic and of every
-# product with pi: far beyond a double, so each value is rounded once.
-_CONTEXT = decimal.Context(prec=40)
-_PI = decimal.Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
 
 
 class SingularMatrixError(ArithmeticError):
@@ -112,29 +108,25 @@ SINGLE_SHAPES = ({1: 1.0, 5: -1.0 / 3.0},)
 DOUBLE_SHAPES = ({1: 1.0, 3: -1.0 / 5.0}, {3: 1.0 / 5.0, 5: -1.0 / 7.0})
 
 
+SPACE_PRESETS = {"al-single": SINGLE_SHAPES, "al-double": DOUBLE_SHAPES}
+
+
+def preset_space(name: str) -> TrialSpace:
+    if name not in SPACE_PRESETS:
+        raise ValueError(
+            f"unknown trial-space preset {name!r}; expected one of {sorted(SPACE_PRESETS)}"
+        )
+    return TrialSpace(name, SPACE_PRESETS[name])
+
+
 def single_shape_space() -> TrialSpace:
     """One-parameter trial shape cos(w t) - cos(5 w t)/3."""
-    return TrialSpace("al-single", SINGLE_SHAPES)
+    return preset_space("al-single")
 
 
 def double_shape_space() -> TrialSpace:
     """Two-parameter trial shapes [cos - cos3/5, cos3/5 - cos5/7]."""
-    return TrialSpace("al-double", DOUBLE_SHAPES)
-
-
-SPACE_PRESETS = {
-    "al-single": single_shape_space,
-    "al-double": double_shape_space,
-}
-
-
-def preset_space(name: str) -> TrialSpace:
-    try:
-        return SPACE_PRESETS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown trial-space preset {name!r}; expected one of {sorted(SPACE_PRESETS)}"
-        ) from None
+    return preset_space("al-double")
 
 
 @dataclass
@@ -195,8 +187,7 @@ def solve_B(form: QuadraticForm) -> np.ndarray:
 
 def _times_pi(x) -> float:
     """pi x for an exact x, rounded once to a double (inf past the range)."""
-    with decimal.localcontext(_CONTEXT):
-        return float(_decimal(x) * _PI)
+    return float(CONTEXT.multiply(to_decimal(x), PI))
 
 
 def _harmonics(problem: OscillatorProblem) -> dict:
@@ -244,15 +235,6 @@ def _derivatives(model: _Model, omega: float, amplitudes):
     return gradient, slope, 2 * boundary / s, u1_0
 
 
-def _balance_frequency(problem: OscillatorProblem, harmonics: dict) -> tuple:
-    """(w^2, w) at which the fundamental of the order-1 forcing cancels,
-    w^2 = w0^2 + eps c_1 / A for the exact c_k, each rounded once; w is None unless w^2 > 0."""
-    square = (Fraction(problem.omega0_sq) + Fraction(problem.epsilon)
-              * harmonics.get(1, 0) / Fraction(problem.amplitude))
-    with decimal.localcontext(_CONTEXT):
-        return float(_decimal(square)), float(_decimal(square).sqrt()) if square > 0 else None
-
-
 def d_omega(
     problem: OscillatorProblem,
     space: TrialSpace,
@@ -289,11 +271,19 @@ class StationaryPoint:
 
 
 def default_bracket(problem: OscillatorProblem) -> tuple[float, float]:
-    w_eff = effective_omega0(problem)
-    if w_eff <= 0.0:
+    """``BRACKET_FACTORS`` times sqrt(w0^2 + 3 eps c_3 A^2 / 4), a heuristic
+    that folds in the cubic term only: other wells may need a bracket."""
+    cubic = problem.nonlinearity.coefficients.get(3, 0.0)
+    try:
+        a_sq = problem.amplitude**2
+    except OverflowError:
+        raise OverflowError(f"A^2 overflows a double (A = {problem.amplitude})") from None
+    radicand = problem.omega0_sq + 0.75 * problem.epsilon * a_sq * cubic
+    if not radicand > 0.0:
         raise BracketError(
             "no usable default bracket for this problem; pass one explicitly"
         )
+    w_eff = math.sqrt(radicand)
     return (BRACKET_FACTORS[0] * w_eff, BRACKET_FACTORS[1] * w_eff)
 
 
@@ -382,10 +372,6 @@ def _solve_exact(matrix, columns):
     return [[row[n + j] for row in rows] for j in range(len(columns))]
 
 
-def _decimal(x: Fraction) -> decimal.Decimal:
-    return decimal.Decimal(x.numerator) / x.denominator
-
-
 def _stationary_frequencies(model: _Model, bracket):
     """The stationary points at B = -M^-1 g inside the bracket, as (w, B, J),
     and the frequency continued from the linear limit (None if that branch
@@ -410,14 +396,14 @@ def _stationary_frequencies(model: _Model, bracket):
     square_of_beta = (beta[0] ** 2, 2 * beta[0] * beta[1], beta[1] ** 2)
     disc = [x + 3 * alpha * y for x, y in zip(square_of_beta, gamma)]
     b, g, d = horner(beta, eps), horner(gamma, eps), horner(disc, eps)
-    with decimal.localcontext(_CONTEXT):
+    with decimal.localcontext(CONTEXT):
         if alpha == 0:
-            squares = [_decimal(3 * g / (2 * b))] if b else []
+            squares = [to_decimal(3 * g / (2 * b))] if b else []
         elif d <= 0:
-            squares = [_decimal(-b / alpha)] if d == 0 else []
+            squares = [to_decimal(-b / alpha)] if d == 0 else []
         else:  # without cancellation
-            lead = -(_decimal(b) + (1 if b >= 0 else -1) * _decimal(d).sqrt())
-            squares = [lead / _decimal(alpha), _decimal(-3 * g) / lead]
+            lead = -(to_decimal(b) + (1 if b >= 0 else -1) * to_decimal(d).sqrt())
+            squares = [lead / to_decimal(alpha), to_decimal(-3 * g) / lead]
         # The root (-beta + sign(alpha) sqrt(D)) / alpha is w0^2 at e = 0. It
         # reaches eps if D > 0 and it stays positive, i.e. sign(alpha) beta < 0
         # or sign(alpha) gamma > 0, all the way; sign(alpha) beta > 0 at e = 0.
@@ -529,10 +515,21 @@ def solve_stationary(
     return result
 
 
+def classify_triviality(amplitudes, amplitude: float) -> bool:
+    """True iff every trial amplitude is zero at the working scale."""
+    if not amplitude > 0.0:
+        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    try:
+        values = [float(b) for b in amplitudes]
+    except TypeError:  # a scalar
+        values = [float(amplitudes)]
+    return max_abs(values) <= TRIVIALITY_SCALE * amplitude
+
+
 def _label_branches(problem, points, linear):
     """Tag the point nearest the linear branch's frequency, within 5%."""
     for point in points:
-        trivial = max_abs(point.amplitudes) <= TRIVIALITY_SCALE * problem.amplitude
+        trivial = classify_triviality(point.amplitudes, problem.amplitude)
         point.branch = "trivial-B" if trivial else "stationary"
     if points and linear is not None:
         nearest = min(points, key=lambda p: abs(p.omega - linear))

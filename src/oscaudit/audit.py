@@ -24,16 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
-from .models import OscillatorProblem, Polynomial
+from .models import CONTEXT, OscillatorProblem, Polynomial, to_decimal
 from .action import (
     DOUBLE_SHAPES,
     SINGLE_SHAPES,
     TRIVIALITY_SCALE,
     StationaryPoint,
     TrialSpace,
-    _balance_frequency,
     _harmonics,
+    classify_triviality,
     max_abs,
     solve_stationary,
 )
@@ -67,17 +68,6 @@ class NonFiniteValueError(ArithmeticError):
     """A report value overflowed or is undefined (inf or NaN)."""
 
 
-def classify_triviality(amplitudes, amplitude: float) -> bool:
-    """True iff every trial amplitude is zero at the working scale."""
-    if not amplitude > 0.0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
-    try:
-        values = [float(b) for b in amplitudes]
-    except TypeError:  # a scalar
-        values = [float(amplitudes)]
-    return max_abs(values) <= TRIVIALITY_SCALE * amplitude
-
-
 def resonance_frequency(problem: OscillatorProblem) -> float:
     """Frequency at which the fundamental forcing component cancels.
 
@@ -91,10 +81,13 @@ def resonance_frequency(problem: OscillatorProblem) -> float:
 
 def _resonance_frequency(problem: OscillatorProblem, harmonics: dict) -> float:
     """``resonance_frequency`` from the exact c_k of f(A cos theta)."""
-    radicand, omega = _balance_frequency(problem, harmonics)
-    if omega is None:
-        raise ClosedFormDomainError(f"resonance-balance radicand is not positive ({radicand})")
-    return omega
+    square = (Fraction(problem.omega0_sq) + Fraction(problem.epsilon)
+              * harmonics.get(1, 0) / Fraction(problem.amplitude))
+    if not square > 0:
+        raise ClosedFormDomainError(
+            f"resonance-balance radicand is not positive ({float(to_decimal(square))})"
+        )
+    return float(CONTEXT.sqrt(to_decimal(square)))
 
 
 def two_shape_frequency(rho: float) -> float:

@@ -8,11 +8,17 @@ cosine-only trial spaces and the exact-period oracle rely on.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fourier import TrigSeries
+
+# Digits of every exact value rounded to a double (the solver's roots and
+# products with pi, the oracle's quadrature): far beyond a double's.
+CONTEXT = decimal.Context(prec=40)
+PI = decimal.Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
 
 
 class Polynomial:
@@ -143,6 +149,11 @@ def total_potential(problem: OscillatorProblem) -> Polynomial:
     return quadratic + problem.epsilon * potential(problem.nonlinearity)
 
 
+def to_decimal(x: Fraction) -> decimal.Decimal:
+    """The rational x rounded once to ``CONTEXT``'s digits."""
+    return CONTEXT.divide(x.numerator, x.denominator)
+
+
 def horner(coefficients, x):
     """The polynomial with these coefficients, lowest first, at x."""
     total = 0
@@ -164,7 +175,8 @@ def positive_on(coefficients, lo, hi) -> bool:
     change leave at most one positive root, a simple one (Descartes' rule of
     signs), so q(0) > 0 and q(hi - lo) > 0 decide. Otherwise q's Sturm
     sequence counts its distinct roots in (0, hi - lo] (Sturm's theorem;
-    Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, 2006).
+    Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, 2006), in
+    integer polynomials that are positive multiples of the rational ones.
     """
     q, lo = [Fraction(c) for c in coefficients], Fraction(lo)
     while q and not q[-1]:
@@ -178,30 +190,19 @@ def positive_on(coefficients, lo, hi) -> bool:
     changes = _sign_changes(q)
     if changes < 2:
         return changes == 0 or horner(q, width) > 0
+    scale = math.lcm(*(c.denominator for c in q))  # clear denominators once
+    q = [c.numerator * (scale // c.denominator) for c in q]
     sequence = [q, [k * c for k, c in enumerate(q)][1:]]
     while len(sequence[-1]) > 1:  # ends at a constant, or at [] past the gcd
         rest, divisor = sequence[-2], sequence[-1]
-        while len(rest) >= len(divisor):
-            factor, pad = rest[-1] / divisor[-1], [0] * (len(rest) - len(divisor))
-            rest = [r - factor * d for r, d in zip(rest, pad + divisor)][:-1]
+        lead, sign = abs(divisor[-1]), (1 if divisor[-1] > 0 else -1)
+        while len(rest) >= len(divisor):  # pseudo-division, scaled by lead > 0
+            factor, pad = sign * rest[-1], [0] * (len(rest) - len(divisor))
+            rest = [lead * r - factor * d for r, d in zip(rest, pad + divisor)][:-1]
         while rest and not rest[-1]:
             rest.pop()
-        sequence.append([-c for c in rest])
+        content = math.gcd(*rest) or 1  # each remainder primitive: small integers
+        sequence.append([-c // content for c in rest])
     at_lo, at_hi = ([horner(s, x) for s in sequence] for x in (0, width))
     return _sign_changes(at_lo) == _sign_changes(at_hi)
 
-
-def effective_omega0(problem: OscillatorProblem) -> float:
-    """Heuristic linearised frequency that centres the default frequency bracket.
-
-    Folds the leading cubic correction into the linear stiffness; returns
-    0.0 when the combination is not positive (the caller must then supply a
-    bracket). Raises ``OverflowError`` naming A when A^2 overflows.
-    """
-    cubic = problem.nonlinearity.coefficients.get(3, 0.0)
-    try:
-        a_sq = problem.amplitude**2
-    except OverflowError:
-        raise OverflowError(f"A^2 overflows a double (A = {problem.amplitude})") from None
-    radicand = problem.omega0_sq + 0.75 * problem.epsilon * a_sq * cubic
-    return math.sqrt(radicand) if radicand > 0.0 else 0.0

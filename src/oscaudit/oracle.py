@@ -12,7 +12,7 @@ frequencies are judged:
   singularity and no trigonometry.  Near a separatrix D(u^2) almost
   vanishes at t = 0; a sinh map of t, scaled to that near-zero, keeps the
   integrand smooth there.  Gauss-Legendre quadrature on a node-doubling
-  schedule evaluates the integral in ``QUAD_DIGITS``-digit decimal
+  schedule evaluates the integral in ``CONTEXT``'s 40-digit decimal
   arithmetic: the nodes and weights come from Newton iteration on the
   Legendre recurrence, D from the problem's own doubles taken exactly, and
   the frequency 2 pi / T is rounded to a double once, at the end.  No
@@ -34,14 +34,22 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .models import OscillatorProblem, Polynomial, horner, positive_on, total_potential
+from .models import (
+    CONTEXT,
+    PI,
+    OscillatorProblem,
+    Polynomial,
+    horner,
+    positive_on,
+    to_decimal,
+    total_potential,
+)
 
 if TYPE_CHECKING:
     import numpy as np
 
 QUAD_START_NODES = 16
 QUAD_MAX_NODES = 1024
-QUAD_DIGITS = 40
 # Stop when two successive levels agree to this relative difference, four
 # orders of magnitude below half an ulp of a double. The Gauss-Legendre
 # error falls geometrically in the node count, so the finer level is then
@@ -50,13 +58,11 @@ QUAD_REL_TOL = 1e-20
 ODE_TOL = 1e-12
 ODE_PERIOD_BUDGET = 100.0
 
-_CONTEXT = decimal.Context(prec=QUAD_DIGITS)
-_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
 # Nodes and weights are polished with guard digits and rounded once to
-# QUAD_DIGITS, so the rule does not depend on the seeds. Newton on P_n
+# CONTEXT's digits, so the rule does not depend on the seeds. Newton on P_n
 # converges quadratically with a constant below n^2 (at most 1024^2 here):
 # after a step this small the root is exact to the polishing digits.
-_POLISH = decimal.Context(prec=QUAD_DIGITS + 10)
+_POLISH = decimal.Context(prec=CONTEXT.prec + 10)
 _POLISHED = Decimal(10) ** -(_POLISH.prec // 2 + 4)
 
 
@@ -92,13 +98,13 @@ def _legendre(n: int, x):
 def leggauss(n: int):
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule.
 
-    Both are tuples of ``QUAD_DIGITS``-digit Decimals. Newton iteration on
+    Both are tuples of Decimals in ``CONTEXT``'s 40 digits. Newton iteration on
     the recurrence in doubles, started from Tricomi's asymptotic estimate,
     finds the non-negative roots; Newton steps in decimal with ten guard
     digits (two, as a rule) polish each one, and the Legendre equation
     carries P_n' to the polished root for the weight
     2 / ((1 - x^2) P_n'(x)^2). Each node and weight is then rounded once to
-    ``QUAD_DIGITS``. The double seeds only pick the root, so the rule does
+    ``CONTEXT``. The double seeds only pick the root, so the rule does
     not depend on them or on the platform. Rules are cached for the life of
     the process.
     """
@@ -129,7 +135,7 @@ def leggauss(n: int):
                     break
             slope -= curvature * step
             weight = 2 / ((1 - x * x) * slope * slope)
-            roots.append((_CONTEXT.plus(x), _CONTEXT.plus(weight)))
+            roots.append((CONTEXT.plus(x), CONTEXT.plus(weight)))
     half = n // 2
     negative = [(x.copy_negate(), w) for x, w in roots[:half]]
     rule = negative + roots[half:] + roots[:half][::-1]
@@ -138,7 +144,7 @@ def leggauss(n: int):
 
 def _check_oscillatory(problem: OscillatorProblem):
     """Decide exactly that V(A) > V(u) on [0, A); return D, V(A) - V(u) =
-    (A^2 - u^2) D(u^2), with each coefficient rounded once to ``QUAD_DIGITS``.
+    (A^2 - u^2) D(u^2), with each coefficient rounded once to ``CONTEXT``.
 
     With V(u) = sum_k P_k u^{2k}, D's coefficients d_m = P_{m+1} + A^2 d_{m+1}
     are rationals of the problem's own doubles, and ``positive_on`` decides
@@ -158,8 +164,7 @@ def _check_oscillatory(problem: OscillatorProblem):
             "V(A) does not dominate V(u) on [0, A); the configuration "
             "does not oscillate with this amplitude"
         )
-    with decimal.localcontext(_CONTEXT):
-        return [Decimal(d.numerator) / d.denominator for d in depth]
+    return [to_decimal(d) for d in depth]
 
 
 def exact_period_quadrature(problem: OscillatorProblem) -> ExactResult:
@@ -169,7 +174,7 @@ def exact_period_quadrature(problem: OscillatorProblem) -> ExactResult:
     ``OverflowError`` when the frequency does not fit in a double.
     """
     coefficients = _check_oscillatory(problem)
-    with decimal.localcontext(_CONTEXT):
+    with decimal.localcontext(CONTEXT):
         a_sq = Decimal(problem.amplitude) * Decimal(problem.amplitude)
         # E(s) = D(A^2 (1 - s)^2), s = t^2: E(0) = V'(A) / (2 A), > 0 unrounded;
         # the linear model of E puts its near-zero at s = -scale^2, and the
@@ -206,7 +211,7 @@ def exact_period_quadrature(problem: OscillatorProblem) -> ExactResult:
             if previous is not None:
                 delta = float(abs(quarter - previous) / quarter)
                 if delta < QUAD_REL_TOL:
-                    frequency = float(_PI / (2 * quarter))
+                    frequency = float(PI / (2 * quarter))
                     if not math.isfinite(frequency):
                         raise OverflowError(
                             f"the frequency overflows a double (A = {problem.amplitude})"
@@ -246,7 +251,7 @@ def _dimensionless(problem: OscillatorProblem) -> tuple[OscillatorProblem, float
     Raises ``OverflowError`` naming A when lam is not a double.
     """
     depth = _check_oscillatory(problem)
-    with decimal.localcontext(_CONTEXT):
+    with decimal.localcontext(CONTEXT):
         lam_sq = 2 * depth[0]
         lam = float(lam_sq.sqrt())
         if not 0.0 < lam < math.inf:
@@ -275,6 +280,9 @@ def exact_period_ode(problem: OscillatorProblem) -> ExactResult:
     The problem is integrated in x = u / A and tau = lam t (``_dimensionless``)
     for up to ``ODE_PERIOD_BUDGET`` times 2 pi in tau; the period is 4 tau* / lam.
     ``est_error`` is that run's relative energy drift at the crossing tau*.
+    It does not bound the period's error near a separatrix: for Duffing at
+    A = 1, eps = -0.9999999999999999 the period is 112.41543555584232 against
+    the quadrature's 109.78891206847729, with ``est_error`` 5.4e-13.
     """
     unit, lam = _dimensionless(problem)
 

@@ -306,6 +306,7 @@ def test_solve_stationary_invalid_bracket():
 
 
 def test_default_bracket_requires_positive_scale():
+    assert default_bracket(duffing(1.0, 0.0)) == (0.5, 3.0)
     problem = duffing(1.0, 1.0)
     lo, hi = default_bracket(problem)
     assert 0.0 < lo < math.sqrt(1.75) < hi

@@ -8,7 +8,6 @@ from oscaudit.models import (
     OscillatorProblem,
     Polynomial,
     duffing,
-    effective_omega0,
     positive_on,
     potential,
     total_potential,
@@ -26,7 +25,6 @@ def test_duffing_preset():
 def test_duffing_linear_limit():
     problem = duffing(1.0, 0.0)
     assert problem.epsilon == 0.0
-    assert effective_omega0(problem) == 1.0
 
 
 def test_duffing_rejects_nonpositive_amplitude():
@@ -140,8 +138,23 @@ def _times(*factors):
     return product
 
 
+def _depth(halves, a_sq):
+    """D, lowest first, with V(A) - V(u) = (A^2 - u^2) D(u^2) for
+    V(u) = sum_k halves[k - 1] u^(2k)."""
+    depth = []
+    for half in reversed(halves):
+        depth.insert(0, half + a_sq * (depth[0] if depth else 0))
+    return depth
+
+
 HALF, TINY = Fraction(1, 2), Fraction(1, 10**12)
 TOUCHING = _times([-HALF, 1], [-HALF, 1])  # (x - 1/2)^2
+# w0^2 = eps = 1, f = -u^3 + 0.3u^5 + 0.05u^7 + 0.01u^9, A = 1.2: D has
+# degree 4 and signs + - + + +, so only the Sturm count decides
+A_SQ = Fraction(1.2) ** 2
+WELL = _depth(
+    [HALF, Fraction(-1, 4), Fraction(0.3) / 6, Fraction(0.05) / 8, Fraction(0.01) / 10], A_SQ
+)
 
 
 @pytest.mark.parametrize(
@@ -173,6 +186,8 @@ TOUCHING = _times([-HALF, 1], [-HALF, 1])  # (x - 1/2)^2
         # degree 5: -(x - 3)(x^2 + 1)^2 reaches 0 at hi = 3 only
         (_times([3, -1], [1, 0, 1], [1, 0, 1]), 0, 2, True),
         (_times([3, -1], [1, 0, 1], [1, 0, 1]), 0, 3, False),
+        # the D of a well with long binary fractions in its coefficients
+        (WELL, 0, A_SQ, True),
         # lo == hi: the value there decides
         ([1, -1], 1, 1, False),
         ([1, -1], HALF, HALF, True),

@@ -10,9 +10,8 @@ from scipy.special import ellipk
 
 from conftest import child_env
 from oscaudit import oracle
-from oscaudit.models import OscillatorProblem, Polynomial, duffing
+from oscaudit.models import CONTEXT, OscillatorProblem, Polynomial, duffing
 from oscaudit.oracle import (
-    QUAD_DIGITS,
     NonOscillatoryError,
     exact_period_ode,
     exact_period_quadrature,
@@ -213,8 +212,8 @@ def test_leggauss_matches_mpmath_legendre_roots(n):
     assert list(weights[:half]) == list(weights[half:][::-1])
     digits = REFERENCE_DIGITS + 10
 
-    def rounded(value):  # the correctly rounded QUAD_DIGITS-digit value
-        return decimal.Context(prec=QUAD_DIGITS).plus(decimal.Decimal(mpmath.nstr(value, digits)))
+    def rounded(value):  # the correctly rounded value in CONTEXT's digits
+        return CONTEXT.plus(decimal.Decimal(mpmath.nstr(value, digits)))
 
     with mpmath.workdps(digits):
         for x, w in zip(nodes[half:], weights[half:]):
