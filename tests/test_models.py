@@ -186,14 +186,14 @@ WELL = _depth(
         # degree 5: -(x - 3)(x^2 + 1)^2 reaches 0 at hi = 3 only
         (_times([3, -1], [1, 0, 1], [1, 0, 1]), 0, 2, True),
         (_times([3, -1], [1, 0, 1], [1, 0, 1]), 0, 3, False),
-        # the D of a well with long binary fractions in its coefficients
-        (WELL, 0, A_SQ, True),
         # lo == hi: the value there decides
         ([1, -1], 1, 1, False),
         ([1, -1], HALF, HALF, True),
         # trailing zeros, as D has at eps = 0: D(v) = w0^2 / 2
         ([HALF, 0, 0], 0, 4, True),
         ([1, 2, 0, 0], -HALF, 1, False),
+        # the D of a well with long binary fractions in its coefficients
+        (WELL, 0, A_SQ, True),
     ],
 )
 def test_positive_on(coefficients, lo, hi, expected):
