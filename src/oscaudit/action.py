@@ -55,7 +55,9 @@ class TrialSpace:
 
     Each shape is a harmonic -> coefficient map; the shapes are
     instantiated at a concrete base frequency only when evaluated. Shapes
-    must be linearly independent, which is decided exactly.
+    must be linearly independent, which is decided exactly. Harmonics are
+    >= 1: an odd f forces no constant term, and a constant in a shape would
+    only make Mh indefinite.
     """
 
     name: str
@@ -68,9 +70,9 @@ class TrialSpace:
         for idx, shape in enumerate(self.shapes):
             entries = {}
             for k, v in shape.items():
-                if k != int(k) or k < 0:
+                if k != int(k) or k < 1:
                     raise ValueError(
-                        f"shape {idx}: harmonic must be a non-negative integer, got {k!r}"
+                        f"shape {idx}: harmonic must be a positive integer, got {k!r}"
                     )
                 if k > MAX_HARMONIC:
                     raise ValueError(f"shape {idx}: harmonic {k} exceeds {MAX_HARMONIC}")
@@ -88,9 +90,9 @@ class TrialSpace:
         gram = [[sum(a * t.get(k, 0) for k, a in s.items()) for t in exact] for s in exact]
         if _solve_exact(gram, ()) is None:
             raise ValueError(f"trial space '{self.name}': shapes are linearly dependent")
-        # Mh of M(w) = pi w Mh; the constant harmonic's period mean is doubled
-        mhat = [[sum((2 if k == 0 else 1) * (1 - k * k) * a * t.get(k, 0) for k, a in s.items())
-                 for t in exact] for s in exact]
+        # Mh of M(w) = pi w Mh: Mh = S'WS with W = diag(1 - k^2) <= 0 for k >= 1
+        mhat = [[sum((1 - k * k) * a * t.get(k, 0) for k, a in s.items()) for t in exact]
+                for s in exact]
         object.__setattr__(self, "shapes", tuple(cleaned))
         object.__setattr__(self, "_exact", exact)
         object.__setattr__(self, "_mhat", mhat)
@@ -203,7 +205,9 @@ def _harmonics(problem: OscillatorProblem) -> dict:
 
 class _Model:
     """Exact rationals of one (problem, space): c_k of f(A cos theta), g1, g0,
-    q = eps g0 + w0^2 g1, and N g1, N g0 (N = Mh^-1; None when singular)."""
+    q = eps g0 + w0^2 g1, N g1, N g0 (N = Mh^-1; None when singular), and
+    alpha = g1'N g1 with beta(e) = q'N g1 and gamma(e) = q'N q as coefficient
+    tuples in the strength e, lowest first (all None when N is)."""
 
     def __init__(self, problem: OscillatorProblem, space: TrialSpace):
         self.problem, self.space, self.harmonics = problem, space, _harmonics(problem)
@@ -212,6 +216,12 @@ class _Model:
         self.g0 = [sum(a * self.harmonics.get(k, 0) for k, a in s.items()) for s in space._exact]
         self.q = [self.eps * x + self.w0_sq * y for x, y in zip(self.g0, self.g1)]
         self.n_g1, self.n_g0 = _solve_exact(space._mhat, (self.g1, self.g0)) or (None, None)
+        self.alpha = self.beta = self.gamma = None
+        if self.n_g1 is not None:
+            alpha, cross, square = (sum(x * y for x, y in zip(u, v)) for u, v in (
+                (self.g1, self.n_g1), (self.g0, self.n_g1), (self.g0, self.n_g0)))
+            self.alpha, self.beta = alpha, (self.w0_sq * alpha, cross)
+            self.gamma = (self.w0_sq**2 * alpha, 2 * self.w0_sq * cross, square)
 
 
 def _derivatives(model: _Model, omega: float, amplitudes):
@@ -274,11 +284,7 @@ def default_bracket(problem: OscillatorProblem) -> tuple[float, float]:
     """``BRACKET_FACTORS`` times sqrt(w0^2 + 3 eps c_3 A^2 / 4), a heuristic
     that folds in the cubic term only: other wells may need a bracket."""
     cubic = problem.nonlinearity.coefficients.get(3, 0.0)
-    try:
-        a_sq = problem.amplitude**2
-    except OverflowError:
-        raise OverflowError(f"A^2 overflows a double (A = {problem.amplitude})") from None
-    radicand = problem.omega0_sq + 0.75 * problem.epsilon * a_sq * cubic
+    radicand = problem.omega0_sq + 0.75 * problem.epsilon * problem.amplitude_sq * cubic
     if not radicand > 0.0:
         raise BracketError(
             "no usable default bracket for this problem; pass one explicitly"
@@ -373,58 +379,42 @@ def _solve_exact(matrix, columns):
 
 
 def _stationary_frequencies(model: _Model, bracket):
-    """The stationary points at B = -M^-1 g inside the bracket, as (w, B, J),
-    and the frequency continued from the linear limit (None if that branch
-    dies before eps).
+    """The stationary point at B = -M^-1 g inside the bracket as (w, B, J,
+    continued), or None; ``continued`` is whether it lies on the branch
+    continued from the linear limit.
 
     With M(w) = pi w Mh and g(w) = (pi / w) (q - w^2 g1), q = eps g0 + w0^2 g1,
     eliminating B turns dJ/dw = 0 into (alpha / 2) s^2 + beta s -
     (3 / 2) gamma = 0 in s = w^2: alpha = g1'N g1, beta = q'N g1,
-    gamma = q'N q, N = Mh^-1. Every quantity is formed exactly. At the
-    rounded w, B = -(N q - s N g1) / s and J = g'B / 2 =
+    gamma = q'N q, N = Mh^-1. Mh = S'WS with W = diag(1 - k^2) <= 0 (a
+    congruence), so N is negative definite where it exists: alpha < 0 unless
+    g1 = 0, and gamma <= 0 with equality only at q = 0, where beta = 0 too.
+    With g1 and q non-zero the roots' product -3 gamma / alpha is negative,
+    so exactly one root is positive, and otherwise none is. That root is
+    w0^2 at e = 0 and stays positive, i.e. continues the linear branch to
+    eps, exactly while gamma(e) < 0. Every quantity is formed exactly. At
+    the rounded w, B = -(N q - s N g1) / s and J = g'B / 2 =
     -pi (gamma - 2 s beta + s^2 alpha) / (2 w s), each rounded once.
     """
-    g1, g0, n_g1, n_g0 = model.g1, model.g0, model.n_g1, model.n_g0
-    if n_g1 is None:
-        return [], None
-    alpha, cross, square = (sum(x * y for x, y in zip(u, v))
-                            for u, v in ((g1, n_g1), (g0, n_g1), (g0, n_g0)))
-    # beta, gamma and D = beta^2 + 3 alpha gamma as polynomials in the strength
-    w0_sq, eps = model.w0_sq, model.eps
-    beta = (w0_sq * alpha, cross)
-    gamma = (w0_sq**2 * alpha, 2 * w0_sq * cross, square)
-    square_of_beta = (beta[0] ** 2, 2 * beta[0] * beta[1], beta[1] ** 2)
-    disc = [x + 3 * alpha * y for x, y in zip(square_of_beta, gamma)]
-    b, g, d = horner(beta, eps), horner(gamma, eps), horner(disc, eps)
-    with decimal.localcontext(CONTEXT):
-        if alpha == 0:
-            squares = [to_decimal(3 * g / (2 * b))] if b else []
-        elif d <= 0:
-            squares = [to_decimal(-b / alpha)] if d == 0 else []
-        else:  # without cancellation
-            lead = -(to_decimal(b) + (1 if b >= 0 else -1) * to_decimal(d).sqrt())
-            squares = [lead / to_decimal(alpha), to_decimal(-3 * g) / lead]
-        # The root (-beta + sign(alpha) sqrt(D)) / alpha is w0^2 at e = 0. It
-        # reaches eps if D > 0 and it stays positive, i.e. sign(alpha) beta < 0
-        # or sign(alpha) gamma > 0, all the way; sign(alpha) beta > 0 at e = 0.
-        linear = None
-        lo, hi = min(eps, 0), max(eps, 0)
-        if alpha and w0_sq > 0 and positive_on(disc, lo, hi):  # so d > 0
-            if beta[1] and lo < -beta[0] / beta[1] < hi:
-                lo, hi = sorted((0, -beta[0] / beta[1]))
-            if positive_on([x if alpha > 0 else -x for x in gamma], lo, hi):
-                linear = float(squares[0 if (alpha > 0) != (b >= 0) else 1].sqrt())
-        frequencies = [float(s.sqrt()) for s in squares if s > 0]
-    points = []
-    n_q = [eps * n0 + w0_sq * n1 for n1, n0 in zip(n_g1, n_g0)]
-    for omega in frequencies:
-        if bracket[0] <= omega <= bracket[1]:
-            w = Fraction(omega)
-            s = w * w
-            amplitudes = [float((s * n1 - nq) / s) for n1, nq in zip(n_g1, n_q)]
-            action = _times_pi((2 * s * b - g - s * s * alpha) / (2 * w * s))
-            points.append((omega, tuple(amplitudes), action))
-    return points, linear
+    alpha, eps = model.alpha, model.eps
+    if not alpha:  # N singular, or g1 = 0
+        return None
+    b, g = horner(model.beta, eps), horner(model.gamma, eps)
+    if not g:  # q = 0
+        return None
+    with decimal.localcontext(CONTEXT):  # without cancellation; D > 0
+        lead = -(to_decimal(b) + (1 if b >= 0 else -1) * to_decimal(b * b + 3 * alpha * g).sqrt())
+        square = lead / to_decimal(alpha) if b >= 0 else to_decimal(-3 * g) / lead
+        omega = float(square.sqrt())
+    if not bracket[0] <= omega <= bracket[1]:
+        return None
+    w0_sq, w = model.w0_sq, Fraction(omega)
+    s = w * w
+    n_q = [eps * n0 + w0_sq * n1 for n1, n0 in zip(model.n_g1, model.n_g0)]
+    amplitudes = [float((s * n1 - nq) / s) for n1, nq in zip(model.n_g1, n_q)]
+    action = _times_pi((2 * s * b - g - s * s * alpha) / (2 * w * s))
+    continued = w0_sq > 0 and positive_on([-x for x in model.gamma], min(eps, 0), max(eps, 0))
+    return omega, tuple(amplitudes), action, continued
 
 
 def solve_stationary(
@@ -436,15 +426,17 @@ def solve_stationary(
 
     Two routes are combined deterministically:
 
-    * the roots of the exact quadratic in w^2 to which joint stationarity
-      reduces (see ``_stationary_frequencies``), at B solving M B = -g;
+    * the one positive root of the exact quadratic in w^2 to which joint
+      stationarity reduces (see ``_stationary_frequencies``), at B solving
+      M B = -g;
     * the zero-amplitude ray, on which stationarity reduces to the joint
       vanishing of every forcing projection g_i(w).
 
     Coincident roots are merged (the exact ray root wins) and each point is
-    labelled: the one on the branch continued from the linear limit as the
-    nonlinearity is switched on is tagged ``continued-from-linear``,
-    remaining points ``trivial-B`` or ``stationary``.
+    labelled: the quadratic's root, when it lies on the branch continued
+    from the linear limit as the nonlinearity is switched on, is tagged
+    ``continued-from-linear``, and so is the point it merges into; remaining
+    points are ``trivial-B`` or ``stationary``.
     """
     if bracket is None:
         bracket = default_bracket(problem)
@@ -453,8 +445,8 @@ def solve_stationary(
         raise BracketError(f"bracket must satisfy 0 < low < high, got ({lo}, {hi})")
 
     model = _Model(problem, space)
-    roots, linear = _stationary_frequencies(model, (lo, hi))
-    candidates = [(w, "quadratic", b, j) for w, b, j in roots]
+    quadratic = _stationary_frequencies(model, (lo, hi))
+    candidates = [] if quadratic is None else [(quadratic[0], "quadratic", *quadratic[1:])]
 
     # Zero-amplitude ray: roots of each projection, kept only when every
     # component vanishes there jointly.
@@ -476,29 +468,22 @@ def solve_stationary(
         ray_roots.extend(grid[k] for k in col_zeros)
     for root in ray_roots:
         if max_abs(_forcing_projections(problem, space, root)) <= JOINT_RAY_TOL * g_scale:
-            candidates.append((root, "ray", (0.0,) * space.dimension, 0.0))
-
-    points = []
-    for omega_c, source, b, j in sorted(candidates, key=lambda c: c[:2]):
-        gradient, slope, frozen, u1_0 = _derivatives(model, omega_c, b)
-        points.append(
-            (
-                StationaryPoint(
-                    omega=float(omega_c),
-                    amplitudes=b,
-                    action_value=j,
-                    grad_norm=max(abs(_times_pi(x)) for x in [*gradient, slope]),
-                    branch="stationary",
-                    u1_at_0=float(u1_0),
-                    domega_with_period_term=_times_pi(slope),
-                    domega_frozen_period=_times_pi(slope + frozen),
-                ),
-                source,
-            )
-        )
+            candidates.append((root, "ray", (0.0,) * space.dimension, 0.0, False))
 
     merged: list[tuple[StationaryPoint, str]] = []
-    for point, source in points:
+    for omega_c, source, b, j, continued in sorted(candidates, key=lambda c: c[:2]):
+        gradient, slope, frozen, u1_0 = _derivatives(model, omega_c, b)
+        branch = "trivial-B" if classify_triviality(b, problem.amplitude) else "stationary"
+        point = StationaryPoint(
+            omega=float(omega_c),
+            amplitudes=b,
+            action_value=j,
+            grad_norm=max(abs(_times_pi(x)) for x in [*gradient, slope]),
+            branch="continued-from-linear" if continued else branch,
+            u1_at_0=float(u1_0),
+            domega_with_period_term=_times_pi(slope),
+            domega_frozen_period=_times_pi(slope + frozen),
+        )
         if merged:
             last, last_source = merged[-1]
             if point.omega - last.omega <= MERGE_REL_TOL * last.omega:
@@ -507,12 +492,11 @@ def solve_stationary(
                 )
                 if keep_new:
                     merged[-1] = (point, source)
+                if "continued-from-linear" in (point.branch, last.branch):
+                    merged[-1][0].branch = "continued-from-linear"
                 continue
         merged.append((point, source))
-
-    result = [point for point, _ in merged]
-    _label_branches(problem, result, linear)
-    return result
+    return [point for point, _ in merged]
 
 
 def classify_triviality(amplitudes, amplitude: float) -> bool:
@@ -524,14 +508,3 @@ def classify_triviality(amplitudes, amplitude: float) -> bool:
     except TypeError:  # a scalar
         values = [float(amplitudes)]
     return max_abs(values) <= TRIVIALITY_SCALE * amplitude
-
-
-def _label_branches(problem, points, linear):
-    """Tag the point nearest the linear branch's frequency, within 5%."""
-    for point in points:
-        trivial = classify_triviality(point.amplitudes, problem.amplitude)
-        point.branch = "trivial-B" if trivial else "stationary"
-    if points and linear is not None:
-        nearest = min(points, key=lambda p: abs(p.omega - linear))
-        if abs(nearest.omega / linear - 1.0) <= 0.05:  # false if linear overflowed
-            nearest.branch = "continued-from-linear"

@@ -123,7 +123,7 @@ def two_shape_coefficients(amplitude: float, rho: float, omega: float) -> tuple[
 
 def combined_strength(problem: OscillatorProblem) -> float:
     """Default interpretation of the two-shape strength parameter: eps A^2."""
-    return problem.epsilon * problem.amplitude**2
+    return problem.epsilon * problem.amplitude_sq
 
 
 def _is_standard_cubic(problem: OscillatorProblem) -> bool:

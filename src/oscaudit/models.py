@@ -128,6 +128,14 @@ class OscillatorProblem:
                 f"(got powers {sorted(self.nonlinearity.coefficients)})"
             )
 
+    @property
+    def amplitude_sq(self) -> float:
+        """A^2 as a double; past the double range an OverflowError names A."""
+        try:
+            return self.amplitude**2
+        except OverflowError:
+            raise OverflowError(f"A^2 overflows a double (A = {self.amplitude})") from None
+
     def acceleration(self, u):
         """Right-hand side of u'' = -(omega0_sq u + epsilon f(u))."""
         return -self.omega0_sq * u - self.epsilon * self.nonlinearity(u)

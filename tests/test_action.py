@@ -62,6 +62,12 @@ def test_trial_space_rejects_empty_shape():
         TrialSpace("bad", ())
 
 
+def test_trial_space_rejects_the_constant_harmonic():
+    # an odd f forces no constant term; a constant would make Mh indefinite
+    with pytest.raises(ValueError, match="shape 1: harmonic must be a positive integer, got 0"):
+        TrialSpace("bad", ({1: 1.0, 3: -0.2}, {0: 1.0, 1: 1.0}))
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_trial_space_rejects_non_finite_coefficient(value):
     with pytest.raises(ValueError, match="harmonic 5"):
@@ -338,6 +344,27 @@ def test_label_just_past_the_death_of_the_linear_branch():
     assert points[0].branch == "stationary"
 
 
+@pytest.mark.parametrize(
+    "eps, space, bracket, branch, omega",
+    [
+        # no periodic orbit exists past eps A^2 = -1, but gamma(e) < 0 all the
+        # way to eps, so the root is still the linear branch's
+        (-1.2, double_shape_space(), None, "continued-from-linear", 0.37547945097519086),
+        # on al-single a Duffing well has q = A (w0^2 + 3 e A^2 / 4), so
+        # gamma(e) = q^2 / Mh < 0 except at e = -4/3 (w0^2 = A = 1)
+        (-1.3333, single_shape_space(), None, "continued-from-linear", None),
+        (-1.3334, single_shape_space(), (1e-3, 1e3), "stationary", None),
+    ],
+    ids=["al-double-past-separatrix", "al-single-before-death", "al-single-past-death"],
+)
+def test_label_is_the_linear_branch_exactly_while_gamma_is_negative(
+    eps, space, bracket, branch, omega
+):
+    (point,) = solve_stationary(duffing(1.0, eps), space, bracket)
+    assert point.branch == branch
+    assert omega is None or point.omega == omega
+
+
 def test_label_follows_the_linear_branch_at_any_strength():
     points = solve_stationary(duffing(1.0, 1e200), single_shape_space())
     assert len(points) == 1
@@ -365,14 +392,10 @@ def _reference_frequencies(mpmath, problem, space):
         for i in range(n):
             for j in range(n):
                 mhat[i, j] = sum(
-                    (2 if k == 0 else 1) * (1 - k * k) * a * shapes[j].get(k, 0)
-                    for k, a in shapes[i].items()
+                    (1 - k * k) * a * shapes[j].get(k, 0) for k, a in shapes[i].items()
                 )
         g1 = mpmath.matrix([amplitude * s.get(1, 0) for s in shapes])
-        g0 = mpmath.matrix([
-            sum((2 if k == 0 else 1) * a * harmonics.get(k, 0) for k, a in s.items())
-            for s in shapes
-        ])
+        g0 = mpmath.matrix([sum(a * harmonics.get(k, 0) for k, a in s.items()) for s in shapes])
         q = mpmath.mpf(problem.epsilon) * g0 + mpmath.mpf(problem.omega0_sq) * g1
         inverse = mpmath.inverse(mhat)
         alpha = (g1.T * inverse * g1)[0]
@@ -405,8 +428,13 @@ def _reference_frequencies(mpmath, problem, space):
             ),
             None,
         ),
+        (
+            duffing(1.0, 1.0),
+            TrialSpace("cos-k", ({1: 1.0, 3: -1.0}, {1: 1.0, 5: -1.0}, {1: 1.0, 7: -1.0})),
+            None,
+        ),
     ],
-    ids=["al-double-duffing", "al-single-cubic-quintic", "three-shapes"],
+    ids=["al-double-duffing", "al-single-cubic-quintic", "three-shapes", "cos-minus-cos-k"],
 )
 def test_solve_stationary_frequency_is_correctly_rounded(problem, space, bracket):
     mpmath = pytest.importorskip("mpmath")
@@ -414,8 +442,10 @@ def test_solve_stationary_frequency_is_correctly_rounded(problem, space, bracket
     off_ray = [p for p in points if any(b != 0.0 for b in p.amplitudes)]
     assert off_ray
     reference = _reference_frequencies(mpmath, problem, space)
+    # Mh is negative definite for harmonics >= 1: one positive root only
+    assert len(reference) == 1
     for point in off_ray:
-        assert point.omega in reference
+        assert point.omega == reference[0]
 
 
 def test_solve_stationary_double_shape_duffing_bits():

@@ -209,6 +209,12 @@ def test_combined_strength_default():
     assert combined_strength(duffing(2.0, 0.5)) == 2.0
 
 
+def test_combined_strength_names_the_amplitude_when_its_square_overflows():
+    # the same check and message as the default bracket's
+    with pytest.raises(OverflowError, match=r"A\^2 overflows a double \(A = 1e\+160\)"):
+        combined_strength(duffing(1e160, 1.0))
+
+
 def test_full_audit_single_shape_findings():
     report = full_audit(duffing(1.0, 1.0), single_shape_space())
     codes = report.finding_codes()

@@ -518,9 +518,13 @@ def test_bad_bracket_is_config_error():
         (("audit", "--space", "custom", "--shape", "1:1,65:-0.01"), 2, "harmonic 65"),
         # V(A) - V(u) = (A^2 - u^2) (u^2 - 1/2)^2 / 4 touches 0 at u^2 = 1/2
         (("exact", "--omega0sq", "0.625", "--poly", "3:-2,5:1.5"), 3, "does not dominate"),
+        (("audit", "--space", "custom", "--shape", "0:1,1:1"), 2, "positive integer"),
+        # rho = eps A^2 is reported even when an explicit bracket skips the default one
+        (("audit", "--A", "1e160", "--bracket", "1e159:1e161"), 3, "A^2 overflows"),
     ],
     ids=["non-finite", "format", "no-well", "eps-minus-1", "no-bracket", "analyze-poly-65",
-         "audit-poly-65", "sweep-poly-65", "shape-65", "touching-well"],
+         "audit-poly-65", "sweep-poly-65", "shape-65", "touching-well", "shape-0",
+         "rho-overflow"],
 )
 def test_every_error_exit_is_documented_and_has_no_traceback(args, code, message):
     result = run_cli(*args)
