@@ -20,7 +20,7 @@ from oscaudit.oracle import (
 )
 
 # frozen from the node-doubled energy integral; cross-checked below against
-# the adaptive integrator and the complete elliptic integral
+# the Taylor integrator and the complete elliptic integral
 OMEGA_EXACT_UNIT_CUBIC = 1.3177760649655266
 
 
@@ -141,6 +141,66 @@ def test_trajectory_starts_at_amplitude():
     assert u[0] == pytest.approx(1.3)
 
 
+# -- the Taylor route ----------------------------------------------------------
+
+# omega0^2 = eps = 1, f = -3u^3 + 2u^5: V(A) clears the interior shoulder of
+# V at u = 1/sqrt(2) by 1e-4; the 50-digit mpmath energy integral
+SHOULDER_WELL = OscillatorProblem(1.0, 1.0, Polynomial({3: -3.0, 5: 2.0}), 1.118272138925472)
+SHOULDER_PERIOD = 38.28524636855089903
+
+
+def test_ode_on_the_shoulder_well():
+    period = exact_period_ode(SHOULDER_WELL).period
+    assert abs(period - SHOULDER_PERIOD) <= 1e-13 * SHOULDER_PERIOD
+
+
+@pytest.mark.parametrize("eps", [-0.99, -0.999, -0.9999, -0.99999, -0.999999])
+def test_ode_agrees_with_quadrature_near_the_separatrix(eps):
+    quad = exact_period_quadrature(duffing(1.0, eps))
+    ode = exact_period_ode(duffing(1.0, eps))
+    assert abs(ode.period - quad.period) <= 1e-11 * quad.period
+
+
+@pytest.mark.parametrize(
+    "problem, period",
+    [
+        (duffing(1.0, 1.0), 4.768022029102461),
+        (duffing(1.0, -0.999999), 44.957713665006686),
+        (SHOULDER_WELL, 38.285246368549124),
+    ],
+    ids=["duffing", "near-separatrix", "shoulder"],
+)
+def test_ode_bits_are_pinned(problem, period):
+    # float + - * / and ldexp/frexp only: the same bits on every platform
+    # and Python version (a float ``sum`` would differ from Python 3.12 on)
+    assert exact_period_ode(problem).period == period
+
+
+def test_ode_matches_quadrature_on_seeded_wells():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, reject, settings, strategies as st
+
+    coefficient = st.floats(-2.0, 2.0).filter(lambda c: c != 0.0)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 3.0)),
+        st.dictionaries(st.sampled_from((3, 5, 7, 9)), coefficient, min_size=1, max_size=3),
+        st.floats(-1.0, 8.0),
+        st.floats(0.2, 2.5),
+    )
+    def check(omega0_sq, f, eps, amplitude):
+        problem = OscillatorProblem(omega0_sq, eps, Polynomial(f), amplitude)
+        try:
+            quad = exact_period_quadrature(problem)
+        except (NonOscillatoryError, oracle.QuadratureConvergenceError):
+            reject()
+        ode = exact_period_ode(problem)
+        assert abs(ode.period - quad.period) <= 1e-12 * quad.period
+
+    check()
+
+
 # -- correctly rounded against 50-digit references ---------------------------
 
 REFERENCE_DIGITS = 50
@@ -246,13 +306,12 @@ def test_quadrature_raises_when_the_frequency_overflows():
         exact_period_quadrature(problem)
 
 
-def test_scipy_is_loaded_only_by_the_ode_route():
-    # numpy too: the CLI, an audit and a sweep run on floats, and only the
-    # ODE route (through scipy) loads it
+def test_no_route_loads_scipy_and_the_ode_route_loads_no_numpy():
+    # the CLI, an audit, a sweep and both oracle routes run on floats
     script = (
         "import contextlib, io, sys\n"
         "def loaded():\n"
-        "    print('scipy.integrate' in sys.modules, 'numpy' in sys.modules)\n"
+        "    print('scipy' in sys.modules, 'numpy' in sys.modules)\n"
         "import oscaudit.cli\n"
         "from oscaudit import duffing, exact_period_ode, full_audit, single_shape_space\n"
         "loaded()\n"
@@ -269,7 +328,7 @@ def test_scipy_is_loaded_only_by_the_ode_route():
         [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False"] * 6 + ["True", "True"]
+    assert result.stdout.split() == ["False"] * 8
 
 
 # -- the exact decision: no sampling ------------------------------------------
